@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseYAL -fuzztime=$(FUZZTIME) ./internal/netlist
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME) ./internal/place
 	$(GO) test -fuzz=FuzzDecodeLines -fuzztime=$(FUZZTIME) ./internal/telemetry
+	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/frame
 	$(GO) test -fuzz=FuzzDecodeJournal -fuzztime=$(FUZZTIME) ./internal/jobs
 	$(GO) test -fuzz=FuzzDecodeLease -fuzztime=$(FUZZTIME) ./internal/jobs
 	$(GO) test -fuzz=FuzzParseTenantConfig -fuzztime=$(FUZZTIME) ./internal/jobs

@@ -462,14 +462,9 @@ func verifyStore(opts *Options, dir, jobID string, canceledIssued bool, ref []by
 		}
 		// The on-disk journal must decode with zero defects and satisfy
 		// the full state machine, ending terminal.
-		f, err := os.Open(filepath.Join(j.Dir(), "journal.twj"))
+		recs, err := jobs.ReadJournalDir(j.Dir())
 		if err != nil {
-			return fmt.Errorf("%s: journal: %w", j.ID, err)
-		}
-		recs, derr := jobs.DecodeJournal(f)
-		f.Close()
-		if derr != nil {
-			return fmt.Errorf("%s: journal corrupt after heal: %w", j.ID, derr)
+			return fmt.Errorf("%s: journal corrupt after heal: %w", j.ID, err)
 		}
 		if err := jobs.CheckJournal(recs); err != nil {
 			return fmt.Errorf("%s: %w", j.ID, err)

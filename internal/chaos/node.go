@@ -250,14 +250,9 @@ func verifyNodeStore(opts *Options, dir string, ids map[string]bool, refs map[st
 		if ids[j.ID] {
 			seen++
 		}
-		f, err := os.Open(filepath.Join(j.Dir(), "journal.twj"))
+		recs, err := jobs.ReadJournalDir(j.Dir())
 		if err != nil {
-			return fmt.Errorf("%s: journal: %w", j.ID, err)
-		}
-		recs, derr := jobs.DecodeJournal(f)
-		f.Close()
-		if derr != nil {
-			return fmt.Errorf("%s: journal corrupt after heal: %w", j.ID, derr)
+			return fmt.Errorf("%s: journal corrupt after heal: %w", j.ID, err)
 		}
 		// CheckJournal covers the state machine and token monotonicity;
 		// AuditLease proves every journaled token against the claim chain —

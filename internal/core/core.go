@@ -153,17 +153,7 @@ func ResumeCtx(ctx context.Context, c *netlist.Circuit, saved io.Reader, opt Opt
 	if err := place.ReadPlacement(saved, p); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Placement:  p,
-		Stage1TEIL: p.TEIL(),
-		Stage1Area: p.ExpandedBounds().Area(),
-		TEIL:       p.TEIL(),
-		Chip:       p.ExpandedBounds(),
-	}
-	if opt.SkipStage2 {
-		return res, nil
-	}
-	return res, runStage2(ctx, res, opt, opt.Seed)
+	return handOff(ctx, p, place.Result{}, p.TEIL(), nil, opt, nil)
 }
 
 // Place runs the complete TimberWolfMC flow on the circuit.
@@ -218,23 +208,7 @@ func PlaceCtx(ctx context.Context, c *netlist.Circuit, opt Options) (*Result, er
 	default:
 		p, s1, err = place.RunStage1Ctx(ctx, c, s1opt)
 	}
-	res := &Result{
-		Placement:  p,
-		Stage1:     s1,
-		Stage1TEIL: s1.TEIL,
-		Stage1Area: p.ExpandedBounds().Area(),
-		TEIL:       s1.TEIL,
-		Chip:       p.ExpandedBounds(),
-	}
-	if err != nil {
-		// Interrupted (or partially failed) Stage 1: hand back what we
-		// have; a checkpoint, if configured, has already been written.
-		return res, err
-	}
-	if opt.SkipStage2 {
-		return res, nil
-	}
-	return res, runStage2(ctx, res, opt, opt.Seed)
+	return handOff(ctx, p, s1, s1.TEIL, err, opt, nil)
 }
 
 // PlaceFromCheckpoint resumes an interrupted Stage 1 run from a checkpoint
@@ -248,36 +222,11 @@ func PlaceFromCheckpoint(ctx context.Context, c *netlist.Circuit, ck *place.Chec
 	if err := netlist.Validate(c); err != nil {
 		return nil, err
 	}
-	p, s1, err := place.ResumeStage1(ctx, c, ck, place.Options{
-		CheckpointPath:  opt.CheckpointPath,
-		CheckpointEvery: opt.CheckpointEvery,
-		CheckpointGuard: opt.CheckpointGuard,
-		Tel:             opt.Tel,
-	})
+	p, s1, err := place.ResumeStage1(ctx, c, ck, resumeOptions(opt))
 	if err != nil && p == nil {
 		return nil, err
 	}
-	res := &Result{
-		Placement:  p,
-		Stage1:     s1,
-		Stage1TEIL: s1.TEIL,
-		Stage1Area: p.ExpandedBounds().Area(),
-		TEIL:       s1.TEIL,
-		Chip:       p.ExpandedBounds(),
-	}
-	if err != nil {
-		return res, err
-	}
-	if opt.SkipStage2 {
-		return res, nil
-	}
-	// Replay Stage 2 with the checkpointed parameters so the resumed flow
-	// matches the uninterrupted one exactly.
-	s2opt := opt
-	s2opt.Ac = ck.Opt.Ac
-	s2opt.Rho = ck.Opt.Rho
-	s2opt.MaxSteps = ck.Opt.MaxSteps
-	return res, runStage2(ctx, res, s2opt, ck.Opt.Seed)
+	return handOff(ctx, p, s1, s1.TEIL, err, opt, &ck.Opt)
 }
 
 // PlaceFromTemperCheckpoint resumes an interrupted parallel-tempering
@@ -290,43 +239,53 @@ func PlaceFromTemperCheckpoint(ctx context.Context, c *netlist.Circuit, tck *pla
 	if err := netlist.Validate(c); err != nil {
 		return nil, err
 	}
-	p, s1, err := place.ResumeStage1Tempered(ctx, c, tck, place.Options{
+	p, s1, err := place.ResumeStage1Tempered(ctx, c, tck, resumeOptions(opt), opt.Workers)
+	if err != nil && p == nil {
+		return nil, err
+	}
+	return handOff(ctx, p, s1, s1.TEIL, err, opt, &tck.Opt)
+}
+
+// resumeOptions carries opt's checkpoint-control fields into a resumed
+// Stage 1 run; the annealing parameters come from the checkpoint.
+func resumeOptions(opt Options) place.Options {
+	return place.Options{
 		CheckpointPath:  opt.CheckpointPath,
 		CheckpointEvery: opt.CheckpointEvery,
 		CheckpointGuard: opt.CheckpointGuard,
 		Tel:             opt.Tel,
-	}, opt.Workers)
-	if err != nil && p == nil {
-		return nil, err
 	}
+}
+
+// handOff assembles the Result for p, which Stage 1 (or a saved layout)
+// left with metrics s1 and TEIL teil, and carries it through Stage 2 unless
+// Stage 1 ended with s1err — an interruption or partial failure, handed
+// back as is with any configured checkpoint already written — or
+// opt.SkipStage2 is set. replay, when non-nil, holds the parameters a
+// checkpoint was written under; Stage 2 reuses its Seed/Ac/Rho/MaxSteps so
+// a resumed flow matches the uninterrupted one exactly.
+//
+// The Stage 2 seed is derived from the Stage 1 seed identically on every
+// path (fresh run, -load resume, checkpoint resume) so the downstream
+// trajectory never depends on how Stage 1 was executed.
+func handOff(ctx context.Context, p *place.Placement, s1 place.Result, teil float64, s1err error, opt Options, replay *place.CheckpointOptions) (*Result, error) {
 	res := &Result{
 		Placement:  p,
 		Stage1:     s1,
-		Stage1TEIL: s1.TEIL,
+		Stage1TEIL: teil,
 		Stage1Area: p.ExpandedBounds().Area(),
-		TEIL:       s1.TEIL,
+		TEIL:       teil,
 		Chip:       p.ExpandedBounds(),
 	}
-	if err != nil {
-		return res, err
+	if s1err != nil || opt.SkipStage2 {
+		return res, s1err
 	}
-	if opt.SkipStage2 {
-		return res, nil
+	seed := opt.Seed
+	if replay != nil {
+		seed = replay.Seed
+		opt.Ac, opt.Rho, opt.MaxSteps = replay.Ac, replay.Rho, replay.MaxSteps
 	}
-	s2opt := opt
-	s2opt.Ac = tck.Opt.Ac
-	s2opt.Rho = tck.Opt.Rho
-	s2opt.MaxSteps = tck.Opt.MaxSteps
-	return res, runStage2(ctx, res, s2opt, tck.Opt.Seed)
-}
-
-// runStage2 performs the Stage 2 refinement loop on res.Placement and folds
-// the outcome into res. seed is the Stage 1 seed; the Stage 2 seed is
-// derived from it identically on every path (fresh run, -load resume,
-// checkpoint resume) so the downstream trajectory never depends on how
-// Stage 1 was executed.
-func runStage2(ctx context.Context, res *Result, opt Options, seed uint64) error {
-	s2, err := refine.RunCtx(ctx, res.Placement, refine.Options{
+	s2, err := refine.RunCtx(ctx, p, refine.Options{
 		Seed:       seed + 0x5eed,
 		Iterations: opt.Iterations,
 		Ac:         opt.Ac,
@@ -340,7 +299,7 @@ func runStage2(ctx context.Context, res *Result, opt Options, seed uint64) error
 	res.TEIL = s2.TEIL
 	res.Chip = s2.Chip
 	if err != nil {
-		return fmt.Errorf("core: stage 2: %w", err)
+		return res, fmt.Errorf("core: stage 2: %w", err)
 	}
-	return nil
+	return res, nil
 }

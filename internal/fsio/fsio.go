@@ -131,38 +131,50 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 var ErrExists = errors.New("fsio: file already exists")
 
 // CreateExclusive durably creates path with data, failing with ErrExists if
-// the file is already there. O_CREATE|O_EXCL on a local POSIX filesystem is
-// atomic across processes, which makes this the mutual-exclusion primitive
-// the lease layer's claim files are built on: of N racing creators exactly
-// one wins, and the losers learn they lost.
+// the file is already there. This is the mutual-exclusion primitive the
+// lease layer's claim files and the dedupe index are built on: of N racing
+// creators exactly one wins, and the losers learn they lost.
 //
-// Unlike WriteFileAtomic there is no temp+rename (rename is last-writer-wins,
-// the opposite of what a claim needs). A crash can therefore leave a torn
-// claim file behind; callers must frame the content (CRC) and treat an
-// undecodable claim as present-but-expired.
+// The bytes land in a fsynced temporary file first, which then takes the
+// target name with a hard link. link(2) fails if the name exists, so the
+// create is exclusive, and readers never see the file without its content
+// (O_CREATE|O_EXCL followed by a write would expose an empty file, which a
+// racing reader takes for a torn record). Rename cannot serve: it is
+// last-writer-wins, the opposite of what a claim needs. Media faults can
+// still leave a torn file behind, so callers frame the content (CRC) and
+// treat an undecodable claim as present-but-expired.
 func CreateExclusive(path string, data []byte, perm os.FileMode) error {
 	if err := faultinject.Err(faultinject.FsioWrite); err != nil {
 		return fmt.Errorf("fsio: create %s: %w", path, classify(err))
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, perm)
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
+		return fmt.Errorf("fsio: create %s: %w", path, classify(err))
+	}
+	defer os.Remove(tmp.Name()) // the target name, if linked, keeps the data
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return fmt.Errorf("fsio: create %s: %w", path, classify(err))
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("fsio: create %s: %w", path, classify(err))
+	}
+	if err := tmp.Chmod(perm); err != nil {
+		tmp.Close()
+		return fmt.Errorf("fsio: create %s: %w", path, classify(err))
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("fsio: create %s: %w", path, classify(err))
+	}
+	if err := os.Link(tmp.Name(), path); err != nil {
 		if os.IsExist(err) {
 			return fmt.Errorf("%w: %s", ErrExists, path)
 		}
 		return fmt.Errorf("fsio: create %s: %w", path, classify(err))
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("fsio: create %s: %w", path, classify(err))
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("fsio: create %s: %w", path, classify(err))
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("fsio: create %s: %w", path, classify(err))
-	}
-	return SyncDir(filepath.Dir(path))
+	return SyncDir(dir)
 }
 
 // AppendLine durably appends one framed record to path, creating the file

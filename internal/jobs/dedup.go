@@ -1,13 +1,10 @@
 package jobs
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/frame"
 	"repro/internal/fsio"
 )
 
@@ -26,13 +24,12 @@ import (
 //	    idem/k<sha256 hex of tenant NUL key>.twk   idempotency key → job
 //	    digest/<64 hex>/g000001.twd                digest generation claims
 //
-// Every entry is one CRC-framed line ("twidx VERSION CRC32C LEN JSON\n").
-// Entries are created with fsio.CreateExclusive — the same O_EXCL
-// first-writer-wins primitive the lease layer's claim files use — so racing
-// submits resolve without locks: the winner's entry is the link everyone
-// else follows. O_EXCL writes are not atomic (no temp+rename), which is why
-// the framing exists: a crash mid-create leaves a torn entry that readers
-// detect by checksum, quarantine, and re-claim.
+// Every entry is one line in internal/frame's record format ("twidx
+// VERSION CRC32C LEN JSON\n"). Entries are created with
+// fsio.CreateExclusive — the same first-writer-wins primitive the lease
+// layer's claim files use — so racing submits resolve without locks: the
+// winner's entry is the link everyone else follows. The framing lets
+// readers detect a torn entry by checksum, quarantine it, and re-claim.
 //
 // A digest's generations form a chain: generation N is claimed pending
 // (Job empty), then published with the executing job's ID. Followers alias
@@ -45,9 +42,8 @@ const (
 	indexDirName  = "index"
 	idemDirName   = "idem"
 	digestDirName = "digest"
-	indexMagic    = "twidx"
 	IndexVersion  = 1
-	// maxIndexLine bounds one entry's JSON payload for the decoder.
+	// maxIndexLine bounds one entry's JSON payload.
 	maxIndexLine = 1 << 16
 	// digestPendingGrace is how long a pending (unpublished) digest claim
 	// stays authoritative before followers may supersede it. It must
@@ -86,59 +82,24 @@ type IndexEntry struct {
 	Node string `json:"node,omitempty"`
 }
 
+// indexFormat frames every index entry (internal/frame).
+var indexFormat = frame.Format{Magic: "twidx", Version: IndexVersion, Max: maxIndexLine}
+
 // EncodeIndexEntry renders e as its one CRC-framed line.
 func EncodeIndexEntry(e IndexEntry) ([]byte, error) {
-	payload, err := json.Marshal(e)
+	data, err := indexFormat.Append(nil, e)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: encode index entry: %w", err)
 	}
-	if len(payload) > maxIndexLine {
-		return nil, fmt.Errorf("jobs: index entry too large (%d bytes)", len(payload))
-	}
-	sum := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %d %08x %d %s\n", indexMagic, IndexVersion, sum, len(payload), payload)
-	return buf.Bytes(), nil
+	return data, nil
 }
 
 // DecodeIndexEntry parses and verifies one index entry file's contents. It
 // never panics on malformed input; every defect is a descriptive error.
 func DecodeIndexEntry(data []byte) (IndexEntry, error) {
 	var e IndexEntry
-	line := bytes.TrimSuffix(data, []byte("\n"))
-	if bytes.ContainsRune(line, '\n') {
-		return e, fmt.Errorf("jobs: index entry: more than one line")
-	}
-	fields := bytes.SplitN(line, []byte(" "), 5)
-	if len(fields) != 5 {
-		return e, fmt.Errorf("jobs: index entry: malformed %.40q", line)
-	}
-	if string(fields[0]) != indexMagic {
-		return e, fmt.Errorf("jobs: index entry: bad magic %.20q", fields[0])
-	}
-	version, err := strconv.Atoi(string(fields[1]))
-	if err != nil || version != IndexVersion {
-		return e, fmt.Errorf("jobs: index entry: unsupported version %.20q", fields[1])
-	}
-	sum64, err := strconv.ParseUint(string(fields[2]), 16, 32)
-	if err != nil || len(fields[2]) != 8 {
-		return e, fmt.Errorf("jobs: index entry: bad checksum field %.20q", fields[2])
-	}
-	size, err := strconv.Atoi(string(fields[3]))
-	if err != nil || size < 0 || size > maxIndexLine {
-		return e, fmt.Errorf("jobs: index entry: bad length field %.20q", fields[3])
-	}
-	payload := fields[4]
-	if len(payload) != size {
-		return e, fmt.Errorf("jobs: index entry: payload is %d bytes, header says %d", len(payload), size)
-	}
-	if got := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)); got != uint32(sum64) {
-		return e, fmt.Errorf("jobs: index entry: checksum mismatch: header %08x, payload %08x", sum64, got)
-	}
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&e); err != nil {
-		return e, fmt.Errorf("jobs: index entry: payload: %v", err)
+	if err := indexFormat.Decode(data, &e); err != nil {
+		return e, fmt.Errorf("jobs: index entry: %w", err)
 	}
 	switch e.Kind {
 	case "idem":
@@ -511,19 +472,18 @@ func VerifyCachedResult(src *Job) error {
 		}
 		return nil
 	}
-	table := crc32.MakeTable(crc32.Castagnoli)
 	pb, err := os.ReadFile(src.PlacementPath())
 	if err != nil {
 		return fmt.Errorf("jobs: %s: cached placement: %w", src.ID, err)
 	}
-	if got := crc32.Checksum(pb, table); got != last.PlacementCRC {
+	if got := frame.Checksum(pb); got != last.PlacementCRC {
 		return fmt.Errorf("jobs: %s: cached placement CRC %08x, journal says %08x", src.ID, got, last.PlacementCRC)
 	}
 	rb, err := os.ReadFile(src.ResultPath())
 	if err != nil {
 		return fmt.Errorf("jobs: %s: cached result: %w", src.ID, err)
 	}
-	if got := crc32.Checksum(rb, table); got != last.ResultCRC {
+	if got := frame.Checksum(rb); got != last.ResultCRC {
 		return fmt.Errorf("jobs: %s: cached result CRC %08x, journal says %08x", src.ID, got, last.ResultCRC)
 	}
 	return nil

@@ -3,11 +3,11 @@ package jobs
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // State is a job lifecycle state. Transitions:
@@ -154,15 +154,16 @@ type Record struct {
 	ResultCRC    uint32 `json:"result_crc,omitempty"`
 }
 
-// journalMagic leads every journal line; the version is bumped on any
-// incompatible format change.
+// journalFormat frames every journal line (internal/frame). The version is
+// bumped on any incompatible format change; maxJournalLine bounds one
+// record's JSON payload, so a corrupted length field cannot make the
+// decoder allocate without limit.
 const (
-	journalMagic   = "twjob"
 	JournalVersion = 1
-	// maxJournalLine bounds one record's JSON payload, so a corrupted
-	// length field cannot make the decoder allocate without limit.
 	maxJournalLine = 1 << 20
 )
+
+var journalFormat = frame.Format{Magic: "twjob", Version: JournalVersion, Max: maxJournalLine}
 
 // AppendRecord writes one journal line for rec to w:
 //
@@ -171,24 +172,24 @@ const (
 // The CRC (CRC-32/Castagnoli over the payload bytes) and explicit length
 // let the decoder reject torn or bit-rotted lines individually.
 func AppendRecord(w io.Writer, rec Record) error {
-	payload, err := json.Marshal(rec)
+	line, err := journalFormat.Append(nil, rec)
 	if err != nil {
 		return fmt.Errorf("jobs: encode journal record: %w", err)
 	}
-	sum := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
-	_, err = fmt.Fprintf(w, "%s %d %08x %d %s\n", journalMagic, JournalVersion, sum, len(payload), payload)
+	_, err = w.Write(line)
 	return err
 }
 
 // EncodeJournal writes the complete journal for recs.
 func EncodeJournal(recs []Record) ([]byte, error) {
-	var buf bytes.Buffer
+	var buf []byte
 	for _, rec := range recs {
-		if err := AppendRecord(&buf, rec); err != nil {
-			return nil, err
+		var err error
+		if buf, err = journalFormat.Append(buf, rec); err != nil {
+			return nil, fmt.Errorf("jobs: encode journal record: %w", err)
 		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // DecodeJournal reads journal records from r, validating each line's
@@ -236,35 +237,8 @@ func DecodeJournal(r io.Reader) ([]Record, error) {
 // decodeLine parses and verifies one journal line (without its newline).
 func decodeLine(text []byte) (Record, error) {
 	var rec Record
-	fields := bytes.SplitN(text, []byte(" "), 5)
-	if len(fields) != 5 {
-		return rec, fmt.Errorf("malformed record %.40q", text)
-	}
-	if string(fields[0]) != journalMagic {
-		return rec, fmt.Errorf("bad magic %.20q", fields[0])
-	}
-	var version, size int
-	var sum uint32
-	if _, err := fmt.Sscanf(string(fields[1]), "%d", &version); err != nil || version != JournalVersion {
-		return rec, fmt.Errorf("unsupported version %.20q", fields[1])
-	}
-	if _, err := fmt.Sscanf(string(fields[2]), "%08x", &sum); err != nil {
-		return rec, fmt.Errorf("bad checksum field %.20q", fields[2])
-	}
-	if _, err := fmt.Sscanf(string(fields[3]), "%d", &size); err != nil || size < 0 || size > maxJournalLine {
-		return rec, fmt.Errorf("bad length field %.20q", fields[3])
-	}
-	payload := fields[4]
-	if len(payload) != size {
-		return rec, fmt.Errorf("payload is %d bytes, header says %d", len(payload), size)
-	}
-	if got := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)); got != sum {
-		return rec, fmt.Errorf("checksum mismatch: header %08x, payload %08x", sum, got)
-	}
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rec); err != nil {
-		return rec, fmt.Errorf("payload: %v", err)
+	if err := journalFormat.Decode(text, &rec); err != nil {
+		return rec, err
 	}
 	if !knownState(rec.State) {
 		return rec, fmt.Errorf("unknown state %q", rec.State)

@@ -2,6 +2,8 @@ package jobs
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +65,31 @@ func TestJournalDetectsCorruption(t *testing.T) {
 		{"oversized length", func(b []byte) []byte {
 			return []byte("twjob 1 00000000 99999999 {}\n")
 		}},
+		// Header fields with a valid checksum but a non-canonical form:
+		// the encoder never writes these, so the decoder must not read
+		// them as their numeric prefix.
+		{"version with trailing junk", headerField(1, func(f string) string { return f + "junk" })},
+		{"signed version", headerField(1, func(f string) string { return "+" + f })},
+		{"checksum with trailing junk", headerField(2, func(f string) string { return f + "ZZ" })},
+		{"uppercase checksum", headerField(2, strings.ToUpper)},
+		{"length with trailing junk", headerField(3, func(f string) string { return f + "x" })},
+		{"length with leading zero", headerField(3, func(f string) string { return "0" + f })},
+		{"short checksum field", func([]byte) []byte {
+			// Find a record whose checksum has a leading zero digit and
+			// write that checksum unpadded.
+			for i := 0; ; i++ {
+				line, err := EncodeJournal([]Record{{Seq: 1, Time: time.Unix(0, 0).UTC(),
+					State: StateQueued, Detail: fmt.Sprint("submitted ", i)}})
+				if err != nil {
+					panic(err)
+				}
+				fields := strings.SplitN(string(line), " ", 5)
+				if strings.HasPrefix(fields[2], "0") {
+					fields[2] = strings.TrimLeft(fields[2], "0")
+					return []byte(strings.Join(fields, " "))
+				}
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,6 +98,37 @@ func TestJournalDetectsCorruption(t *testing.T) {
 				t.Fatal("corruption went undetected")
 			}
 		})
+	}
+}
+
+// headerField returns a mutation that rewrites header field i (1 version,
+// 2 checksum, 3 length) of a journal's first line, leaving its payload and
+// checksum intact.
+func headerField(i int, rewrite func(string) string) func([]byte) []byte {
+	return func(b []byte) []byte {
+		first, rest, _ := strings.Cut(string(b), "\n")
+		fields := strings.SplitN(first, " ", 5)
+		fields[i] = rewrite(fields[i])
+		return []byte(strings.Join(fields, " ") + "\n" + rest)
+	}
+}
+
+// TestEncodeRefusesOversizedRecords pins the encode-side bound: a record
+// whose payload the decoder would reject is refused at write time rather
+// than written and then found unreadable.
+func TestEncodeRefusesOversizedRecords(t *testing.T) {
+	t0 := time.Unix(0, 0).UTC()
+	if _, err := EncodeJournal([]Record{{Seq: 1, Time: t0, State: StateQueued,
+		Detail: strings.Repeat("x", maxJournalLine)}}); err == nil {
+		t.Error("journal record over maxJournalLine was encoded")
+	}
+	if err := AppendRecord(io.Discard, Record{Seq: 1, Time: t0, State: StateQueued,
+		Detail: strings.Repeat("x", maxJournalLine)}); err == nil {
+		t.Error("AppendRecord wrote a record over maxJournalLine")
+	}
+	if _, err := EncodeLeaseRecord(LeaseRecord{Token: 1, Time: t0, Expires: t0,
+		Node: strings.Repeat("n", maxLeaseLine)}); err == nil {
+		t.Error("lease record over maxLeaseLine was encoded")
 	}
 }
 

@@ -5,8 +5,8 @@ package jobs
 // The store is a plain directory tree shared by N twserve processes (one
 // local filesystem, N node IDs). Mutual exclusion over a job comes from a
 // per-job claim chain: claims/t00000001, t00000002, ... — each an
-// O_CREATE|O_EXCL file (fsio.CreateExclusive) holding one CRC-framed
-// LeaseRecord. O_EXCL makes creation atomic across processes, so every
+// exclusively created file (fsio.CreateExclusive) holding one CRC-framed
+// LeaseRecord. Exclusive creation is atomic across processes, so every
 // token has exactly one winner, and tokens are monotonic by construction
 // because a claimer always targets highestToken+1. Claim files are never
 // deleted or rewritten while the job lives, so the high-water mark survives
@@ -28,11 +28,8 @@ package jobs
 // CheckJournal token monotonicity) verifies no stale write ever landed.
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -42,16 +39,16 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/frame"
 	"repro/internal/fsio"
 	"repro/internal/invariant"
 )
 
 // Lease layer file layout inside a job directory and the store root.
 const (
-	claimsDir     = "claims"  // <job>/claims/t%08d + hb
-	heartbeatFile = "hb"      // holder-refreshed expiry extension
-	nodesDirName  = "nodes"   // <root>/nodes/<id>.twl node heartbeats
-	leaseMagic    = "twlease" // line framing magic
+	claimsDir     = "claims" // <job>/claims/t%08d + hb
+	heartbeatFile = "hb"     // holder-refreshed expiry extension
+	nodesDirName  = "nodes"  // <root>/nodes/<id>.twl node heartbeats
 	// LeaseVersion is bumped on any incompatible lease-record change.
 	LeaseVersion = 1
 	// maxLeaseLine bounds one lease record's JSON payload.
@@ -85,59 +82,29 @@ type LeaseRecord struct {
 	Released bool `json:"released,omitempty"`
 }
 
+// leaseFormat frames claim and heartbeat records (internal/frame).
+var leaseFormat = frame.Format{Magic: "twlease", Version: LeaseVersion, Max: maxLeaseLine}
+
 // EncodeLeaseRecord renders rec as one framed line:
 //
 //	twlease VERSION CRC32C PAYLOADLEN PAYLOADJSON\n
 //
-// the same CRC-and-length discipline as the status journal, so a torn claim
-// or heartbeat is detected rather than trusted.
+// internal/frame's line record format, so a torn claim or heartbeat is
+// detected rather than trusted.
 func EncodeLeaseRecord(rec LeaseRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+	data, err := leaseFormat.Append(nil, rec)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: encode lease record: %w", err)
 	}
-	sum := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
-	return fmt.Appendf(nil, "%s %d %08x %d %s\n", leaseMagic, LeaseVersion, sum, len(payload), payload), nil
+	return data, nil
 }
 
 // DecodeLeaseRecord parses and verifies one framed lease record. It never
 // panics on malformed input (FuzzDecodeLease pins this).
 func DecodeLeaseRecord(data []byte) (LeaseRecord, error) {
 	var rec LeaseRecord
-	line := bytes.TrimSuffix(data, []byte("\n"))
-	if bytes.ContainsRune(line, '\n') {
-		return rec, fmt.Errorf("jobs: lease record spans multiple lines")
-	}
-	fields := bytes.SplitN(line, []byte(" "), 5)
-	if len(fields) != 5 {
-		return rec, fmt.Errorf("jobs: malformed lease record %.40q", data)
-	}
-	if string(fields[0]) != leaseMagic {
-		return rec, fmt.Errorf("jobs: lease record: bad magic %.20q", fields[0])
-	}
-	version, err := strconv.Atoi(string(fields[1]))
-	if err != nil || version != LeaseVersion {
-		return rec, fmt.Errorf("jobs: lease record: unsupported version %.20q", fields[1])
-	}
-	sum64, err := strconv.ParseUint(string(fields[2]), 16, 32)
-	if err != nil || len(fields[2]) != 8 {
-		return rec, fmt.Errorf("jobs: lease record: bad checksum field %.20q", fields[2])
-	}
-	size, err := strconv.Atoi(string(fields[3]))
-	if err != nil || size < 0 || size > maxLeaseLine {
-		return rec, fmt.Errorf("jobs: lease record: bad length field %.20q", fields[3])
-	}
-	payload := fields[4]
-	if len(payload) != size {
-		return rec, fmt.Errorf("jobs: lease record: payload is %d bytes, header says %d", len(payload), size)
-	}
-	if got := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)); got != uint32(sum64) {
-		return rec, fmt.Errorf("jobs: lease record: checksum mismatch: header %08x, payload %08x", sum64, got)
-	}
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rec); err != nil {
-		return rec, fmt.Errorf("jobs: lease record payload: %v", err)
+	if err := leaseFormat.Decode(data, &rec); err != nil {
+		return rec, fmt.Errorf("jobs: lease record: %w", err)
 	}
 	if rec.Token == 0 {
 		return rec, fmt.Errorf("jobs: lease record: token 0 out of range")

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"strconv"
 	"sync"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/frame"
 	"repro/internal/fsio"
 	"repro/internal/netlist"
 	"repro/internal/par"
@@ -1494,7 +1494,7 @@ func (m *Manager) writePlacement(j *Job, res *core.Result) (uint32, error) {
 		return 0, fmt.Errorf("jobs: placement %s: read-back mismatch: wrote %d bytes, file has %d",
 			j.ID, buf.Len(), len(got))
 	}
-	return crc32.Checksum(buf.Bytes(), crc32.MakeTable(crc32.Castagnoli)), nil
+	return frame.Checksum(buf.Bytes()), nil
 }
 
 // loadCheckpoint returns the job's checkpoint if present and valid for c,

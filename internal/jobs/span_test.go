@@ -40,6 +40,9 @@ func TestSpanLifecycleSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, j, StateSucceeded)
+	// The attempt span lands after the terminal journal record; draining
+	// waits for the worker to write it.
+	drain(t, m)
 
 	spans, stats, err := j.ReadSpans()
 	if err != nil {
@@ -127,6 +130,9 @@ func TestSpanFleetClaimAndTokens(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, j, StateSucceeded)
+	// The attempt span lands after the terminal journal record; draining
+	// waits for the worker to write it.
+	drain(t, m)
 
 	spans, _, err := j.ReadSpans()
 	if err != nil {

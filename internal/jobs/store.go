@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -18,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/frame"
 	"repro/internal/fsio"
 	"repro/internal/invariant"
 )
@@ -733,7 +733,7 @@ func (j *Job) WriteResult(info *ResultInfo) (uint32, error) {
 		return 0, fmt.Errorf("jobs: result %s: read-back mismatch: wrote %d bytes, file has %d",
 			j.ID, len(data), len(got))
 	}
-	return crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli)), nil
+	return frame.Checksum(data), nil
 }
 
 // ReadResult loads the job's result.json, if present.

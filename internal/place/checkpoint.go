@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/anneal"
 	"repro/internal/estimate"
 	"repro/internal/faultinject"
+	"repro/internal/frame"
 	"repro/internal/fsio"
 	"repro/internal/geom"
 	"repro/internal/netlist"
@@ -221,7 +221,7 @@ func encodeFramed(w io.Writer, magic string, version int, v any) error {
 	if err != nil {
 		return fmt.Errorf("place: encode checkpoint: %w", err)
 	}
-	sum := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
+	sum := frame.Checksum(payload)
 	if _, err := fmt.Fprintf(w, "%s %d %08x %d\n", magic, version, sum, len(payload)); err != nil {
 		return err
 	}
@@ -285,7 +285,7 @@ func decodeFramed(r io.Reader, wantMagic string, wantVersion int) ([]byte, int, 
 	if int64(len(payload)) != size {
 		return nil, 0, fmt.Errorf("place: checkpoint truncated: %d of %d payload bytes", len(payload), size)
 	}
-	if got := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)); got != sum {
+	if got := frame.Checksum(payload); got != sum {
 		return nil, 0, fmt.Errorf("place: checkpoint checksum mismatch: header %08x, payload %08x", sum, got)
 	}
 	return payload, version, nil

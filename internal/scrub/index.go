@@ -37,8 +37,7 @@ func (s *scanner) scanIdemIndex(root string) {
 		s.rep.Artifacts++
 		e, derr := jobs.ReadIndexEntryFile(path)
 		if derr != nil {
-			// Index entries are written with O_EXCL create + write; a torn
-			// one is crash debris the store quarantines on read anyway.
+			// A torn entry is debris the store quarantines on read anyway.
 			s.add(Defect{Kind: "index", Severity: SevWarn, Path: path,
 				Detail: derr.Error(), Repaired: s.quarantine(path)})
 			continue
@@ -74,7 +73,7 @@ func (s *scanner) scanDigestIndex(root string) {
 			s.rep.Artifacts++
 			e, derr := jobs.ReadIndexEntryFile(path)
 			if derr != nil {
-				// Same O_EXCL tear window as idem entries: warn and sweep.
+				// Torn, as for idem entries: warn and sweep.
 				s.add(Defect{Kind: "index", Severity: SevWarn, Path: path,
 					Detail: derr.Error(), Repaired: s.quarantine(path)})
 				continue

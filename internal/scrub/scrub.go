@@ -36,11 +36,10 @@ import (
 	"sort"
 
 	"repro/internal/faultinject"
+	"repro/internal/frame"
 	"repro/internal/fsio"
 	"repro/internal/jobs"
 	"repro/internal/place"
-
-	"hash/crc32"
 )
 
 // Severity classifies a defect: errors mean data a reader could trust is
@@ -331,9 +330,8 @@ func (s *scanner) scanClaims(id, dir string) {
 			highTok = e.Name() // zero-padded: lexicographic = numeric
 		}
 	}
-	// Torn claims are warnings, not errors: claim files are written with
-	// O_EXCL create + write, which a SIGKILL can tear, and readers already
-	// treat an undecodable claim as "unknown holder" (self-healing via TTL).
+	// Torn claims are warnings, not errors: readers already treat an
+	// undecodable claim as "unknown holder" (self-healing via TTL).
 	for _, c := range claims {
 		if !c.torn {
 			continue
@@ -402,7 +400,6 @@ func (s *scanner) scanResultArtifacts(id, dir string, last jobs.Record) {
 		}
 		return
 	}
-	table := crc32.MakeTable(crc32.Castagnoli)
 	check := func(kind, path string, want uint32) {
 		s.rep.Artifacts++
 		data, err := os.ReadFile(path)
@@ -411,7 +408,7 @@ func (s *scanner) scanResultArtifacts(id, dir string, last jobs.Record) {
 				Detail: fmt.Sprintf("succeeded job: %v", err)})
 			return
 		}
-		if got := crc32.Checksum(data, table); got != want {
+		if got := frame.Checksum(data); got != want {
 			s.add(Defect{Kind: kind, Severity: SevError, Job: id, Path: path,
 				Detail:   fmt.Sprintf("CRC %08x, journal success record says %08x", got, want),
 				Repaired: s.quarantine(path)})

@@ -16,24 +16,25 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/frame"
 )
 
 const (
 	// SpanVersion is bumped on any incompatible span-record change.
 	SpanVersion = 1
-	// spanMagic frames span records, mirroring the journal ("twjob") and
-	// lease ("twlease") line disciplines.
-	spanMagic = "twspan"
 	// maxSpanLine bounds one span record's JSON payload.
 	maxSpanLine = 1 << 16
 )
+
+// spanFormat frames span records in internal/frame's line record format,
+// alongside the journal ("twjob") and lease ("twlease") records.
+var spanFormat = frame.Format{Magic: "twspan", Version: SpanVersion, Max: maxSpanLine}
 
 // Span is one span record: a named wall-clock interval attributed to a job,
 // a node, and a fencing token, optionally parented to another span. Point
@@ -65,59 +66,23 @@ type Span struct {
 //
 //	twspan VERSION CRC32C PAYLOADLEN PAYLOADJSON\n
 //
-// the same CRC-and-length discipline as the status journal and the lease
-// records, so a torn append is detected rather than trusted.
+// internal/frame's line record format, shared with the job journal and the
+// lease records, so a torn append is detected rather than trusted.
 func EncodeSpan(sp Span) ([]byte, error) {
 	sp.V = SpanVersion
-	payload, err := json.Marshal(sp)
+	data, err := spanFormat.Append(nil, sp)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: encode span: %w", err)
 	}
-	if len(payload) > maxSpanLine {
-		return nil, fmt.Errorf("telemetry: encode span: payload %d bytes exceeds %d", len(payload), maxSpanLine)
-	}
-	sum := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
-	return fmt.Appendf(nil, "%s %d %08x %d %s\n", spanMagic, SpanVersion, sum, len(payload), payload), nil
+	return data, nil
 }
 
 // DecodeSpan parses and verifies one framed span line. It never panics on
 // malformed input.
 func DecodeSpan(data []byte) (Span, error) {
 	var sp Span
-	line := bytes.TrimSuffix(data, []byte("\n"))
-	if bytes.ContainsRune(line, '\n') {
-		return sp, fmt.Errorf("telemetry: span record spans multiple lines")
-	}
-	fields := bytes.SplitN(line, []byte(" "), 5)
-	if len(fields) != 5 {
-		return sp, fmt.Errorf("telemetry: malformed span record %.40q", data)
-	}
-	if string(fields[0]) != spanMagic {
-		return sp, fmt.Errorf("telemetry: span record: bad magic %.20q", fields[0])
-	}
-	version, err := strconv.Atoi(string(fields[1]))
-	if err != nil || version != SpanVersion {
-		return sp, fmt.Errorf("telemetry: span record: unsupported version %.20q", fields[1])
-	}
-	sum64, err := strconv.ParseUint(string(fields[2]), 16, 32)
-	if err != nil || len(fields[2]) != 8 {
-		return sp, fmt.Errorf("telemetry: span record: bad checksum field %.20q", fields[2])
-	}
-	size, err := strconv.Atoi(string(fields[3]))
-	if err != nil || size < 0 || size > maxSpanLine {
-		return sp, fmt.Errorf("telemetry: span record: bad length field %.20q", fields[3])
-	}
-	payload := fields[4]
-	if len(payload) != size {
-		return sp, fmt.Errorf("telemetry: span record: payload is %d bytes, header says %d", len(payload), size)
-	}
-	if got := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)); got != uint32(sum64) {
-		return sp, fmt.Errorf("telemetry: span record: checksum mismatch: header %08x, payload %08x", sum64, got)
-	}
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
-		return sp, fmt.Errorf("telemetry: span record payload: %v", err)
+	if err := spanFormat.Decode(data, &sp); err != nil {
+		return sp, fmt.Errorf("telemetry: span record: %w", err)
 	}
 	if sp.ID == "" || sp.Name == "" {
 		return sp, fmt.Errorf("telemetry: span record: empty id or name")
