@@ -3,9 +3,9 @@
 #   make verify      tier-1 checks + race detector + short fuzz smokes + bench smoke/diff + twserve smoke + obs smoke + chaos smokes + fsck smoke
 #   make test        unit tests only
 #   make fuzz-smoke  10-second runs of each fuzz target
-#   make bench       place + jobs benchmarks with -benchmem -> BENCH_PR10.json
+#   make bench       place + jobs + route benchmarks with -benchmem -> BENCH_PR15.json
 #   make bench-smoke 1-iteration benchmark pass (catches bitrot, no timing)
-#   make bench-diff  bench-smoke output gated against the committed baseline
+#   make bench-diff  a 100x median-of-5 bench pass gated against the committed baseline
 #   make obs-smoke   2-node fleet end to end: submit, scrape /metrics, twobs clean timeline
 #   make chaos-smoke bounded twchaos runs (fixed seeds, both single-process modes)
 #   make chaos-node-smoke  bounded multi-node twchaos run (3-node fleet, SIGKILLed mid-claim)
@@ -15,10 +15,11 @@
 
 GO ?= go
 FUZZTIME ?= 10s
-BENCHTIME ?= 1x
-BENCHOUT ?= BENCH_PR10.json
-BENCHBASE ?= BENCH_PR10.json
-BENCHPKGS = ./internal/place ./internal/jobs
+BENCHTIME ?= 100x
+BENCHCOUNT ?= 5
+BENCHOUT ?= BENCH_PR15.json
+BENCHBASE ?= BENCH_PR15.json
+BENCHPKGS = ./internal/place ./internal/jobs ./internal/route
 
 .PHONY: verify tier1 test race fuzz-smoke bench bench-smoke bench-diff serve-smoke obs-smoke chaos-smoke chaos-node-smoke storm-smoke dupstorm-smoke fsck-smoke
 
@@ -47,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseTenantConfig -fuzztime=$(FUZZTIME) ./internal/jobs
 	$(GO) test -fuzz=FuzzCanonicalSpec -fuzztime=$(FUZZTIME) ./internal/jobs
 	$(GO) test -fuzz=FuzzDecodeDedupIndex -fuzztime=$(FUZZTIME) ./internal/jobs
+	$(GO) test -fuzz=FuzzRouteOracle -fuzztime=$(FUZZTIME) ./internal/route
 
 # serve-smoke drives a real twserve process end to end: start on an
 # ephemeral port, submit a job, SIGTERM mid-run, and require a clean exit
@@ -111,12 +113,14 @@ dupstorm-smoke:
 fsck-smoke:
 	$(GO) test -run 'TestFsckSmoke' -count=1 -v ./cmd/twfsck
 
-# bench records the placement and job-store hot-path benchmarks (incl. the
-# telemetry on/off pair and the lease fencing guard) as committed JSON.
-# BENCHTIME=1x gives stable-ish numbers quickly; raise it (e.g.
-# BENCHTIME=2s) for publication-grade figures.
+# bench records the placement, job-store and global-router hot-path
+# benchmarks (incl. the telemetry on/off pair and the lease fencing guard)
+# as committed JSON. Each benchmark runs BENCHCOUNT times and benchjson
+# keeps the median. The defaults (100x, median of 5) match bench-diff, so a
+# recorded baseline and the gate measure the same way; raise BENCHTIME
+# (e.g. BENCHTIME=2s) for publication-grade figures.
 bench:
-	$(GO) test -bench . -benchmem -benchtime=$(BENCHTIME) -run '^$$' $(BENCHPKGS) \
+	$(GO) test -bench . -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) -run '^$$' $(BENCHPKGS) \
 		| $(GO) run ./cmd/benchjson -o $(BENCHOUT)
 
 # bench-smoke proves every benchmark still runs and its output still
@@ -127,11 +131,13 @@ bench-smoke:
 
 # bench-diff is the regression gate: a quick bench pass compared against
 # the committed baseline. 100 iterations (not 1) so one-time warmup
-# allocations and cold caches amortize out of the per-op numbers. The
-# ns/op tolerance is loose (short timings are noisy and machines differ);
+# allocations and cold caches amortize out of the per-op numbers, and the
+# median of BENCHCOUNT runs so one stalled run of a sub-microsecond
+# benchmark cannot trip the gate. The ns/op tolerance is loose (short
+# timings are noisy and machines differ);
 # the allocs/op gate is strict — any increase fails, because the Stage 1
 # hot paths and the single-node lease guard are pinned at zero allocs.
 bench-diff:
-	$(GO) test -bench . -benchmem -benchtime=100x -run '^$$' $(BENCHPKGS) \
+	$(GO) test -bench . -benchmem -benchtime=100x -count=$(BENCHCOUNT) -run '^$$' $(BENCHPKGS) \
 		| $(GO) run ./cmd/benchjson -o /tmp/bench_head.json
 	$(GO) run ./cmd/benchjson -diff -ns-threshold 400 $(BENCHBASE) /tmp/bench_head.json

@@ -5,7 +5,9 @@
 //
 //	go test -bench . -benchmem -run '^$' ./internal/place | benchjson -o BENCH_PR6.json
 //
-// Non-benchmark lines (headers, PASS/ok, log output) are ignored. With no
+// Repeated results of one benchmark (go test -count N) are folded into
+// their median (benchfmt.Median). Non-benchmark lines (headers, PASS/ok,
+// log output) are ignored. With no
 // benchmark lines at all it exits 1 rather than writing an empty file, so a
 // silently-failing bench run doesn't overwrite committed results.
 //
@@ -46,6 +48,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	results = benchfmt.Median(results)
 	if len(results) == 0 {
 		fatal(fmt.Errorf("no benchmark result lines found on stdin"))
 	}

@@ -60,7 +60,7 @@ func main() {
 		iters    = flag.Int("refine", 0, "refinement executions (0 = default 3)")
 		nstarts  = flag.Int("nstarts", 1, "independent Stage 1 anneals; best final cost wins")
 		replicas = flag.Int("replicas", 1, "parallel-tempering replicas within the Stage 1 run (1 = classic anneal; results are worker-count independent)")
-		workers  = flag.Int("workers", 0, "goroutines for -nstarts or -replicas > 1 (0 = all CPUs; results are scheduling-independent)")
+		workers  = flag.Int("workers", 0, "goroutines for -nstarts or -replicas > 1 and for global routing (0 = all CPUs; results are scheduling-independent)")
 		preset   = flag.String("preset", "", "place a built-in synthetic circuit (i1,p1,x1,i2,i3,l1,d2,d1,d3)")
 		genSeed  = flag.Uint64("preset-seed", 17, "seed for -preset circuit synthesis")
 		stage1   = flag.Bool("stage1-only", false, "stop after Stage 1")

@@ -9,8 +9,8 @@
 //	twtrace -ladder trace.jsonl
 //
 // The default report contains no wall-clock fields, so equal runs produce
-// byte-identical reports (diff-friendly); -wall adds elapsed milliseconds.
-// -ladder folds parallel-tempering replicas (<run>.r<k>) and multi-start
+// byte-identical reports (diff-friendly); -wall adds elapsed milliseconds
+// and routing-pass durations. -ladder folds parallel-tempering replicas (<run>.r<k>) and multi-start
 // trials (<run>.t<k>) into one summary table per family instead of a full
 // cooling curve per rung. Malformed or unknown-version lines are skipped
 // and counted, never fatal.
@@ -139,8 +139,12 @@ func writeRun(w io.Writer, g *runGroup, wall bool) error {
 		case telemetry.TypeTask:
 			tasks++
 		case telemetry.TypeRoute:
-			fmt.Fprintf(w, "  route: %d nets, length %d, excess %d, %d attempts\n",
+			fmt.Fprintf(w, "  route: %d nets, length %d, excess %d, %d attempts",
 				ev.Cells, ev.Length, ev.Excess, ev.Attempts)
+			if wall {
+				fmt.Fprintf(w, ", %.0f ms", ev.DurMS)
+			}
+			fmt.Fprintln(w)
 		}
 	}
 	if len(steps) > 0 {

@@ -182,3 +182,28 @@ func TestReportRunFilter(t *testing.T) {
 		t.Errorf("filter failed:\n%s", report.String())
 	}
 }
+
+// TestReportRouteDuration checks that -wall adds a routing pass's duration
+// to its route line and that the default report leaves it out.
+func TestReportRouteDuration(t *testing.T) {
+	trace := `{"v":1,"type":"route","run":"refine1.route","cells":38,"len":900,"excess":2,"attempts":40,"dur_ms":1234.4}` + "\n"
+	events, stats, err := telemetry.DecodeString(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		wall bool
+		want string
+	}{
+		{false, "  route: 38 nets, length 900, excess 2, 40 attempts\n"},
+		{true, "  route: 38 nets, length 900, excess 2, 40 attempts, 1234 ms\n"},
+	} {
+		var report bytes.Buffer
+		if err := writeReport(&report, events, stats, "", tc.wall); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(report.Bytes(), []byte(tc.want)) {
+			t.Errorf("wall=%v: report lacks %q:\n%s", tc.wall, tc.want, report.String())
+		}
+	}
+}

@@ -80,6 +80,42 @@ func Parse(r io.Reader) ([]Result, error) {
 	return out, sc.Err()
 }
 
+// Median folds repeated results of one benchmark (go test -count N) into
+// one: the median of each of ns/op, B/op and allocs/op, taken separately,
+// with the lower middle value for an even count. A one-off stall in one
+// repetition then moves no figure. Results keep the order of each name's
+// first appearance.
+func Median(results []Result) []Result {
+	var order []string
+	byName := map[string][]Result{}
+	for _, r := range results {
+		if _, ok := byName[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, name := range order {
+		rs := byName[name]
+		med := func(v func(Result) float64) float64 {
+			xs := make([]float64, len(rs))
+			for i, r := range rs {
+				xs[i] = v(r)
+			}
+			sort.Float64s(xs)
+			return xs[(len(xs)-1)/2]
+		}
+		out = append(out, Result{
+			Name:        name,
+			Iterations:  rs[0].Iterations,
+			NsPerOp:     med(func(r Result) float64 { return r.NsPerOp }),
+			BytesPerOp:  int64(med(func(r Result) float64 { return float64(r.BytesPerOp) })),
+			AllocsPerOp: int64(med(func(r Result) float64 { return float64(r.AllocsPerOp) })),
+		})
+	}
+	return out
+}
+
 // WriteJSON writes results as indented JSON, sorted by name for stable
 // committed output (`go test` ordering already matches, but sorting makes
 // the file diffable across -cpu and shuffle settings).

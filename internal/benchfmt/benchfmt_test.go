@@ -132,3 +132,20 @@ func TestDiff(t *testing.T) {
 		t.Errorf("New: added benchmark must not regress, got %+v", r)
 	}
 }
+
+func TestMedian(t *testing.T) {
+	in := []Result{
+		{Name: "BenchmarkB", Iterations: 100, NsPerOp: 500, BytesPerOp: 8, AllocsPerOp: 1},
+		{Name: "BenchmarkA", Iterations: 100, NsPerOp: 40},
+		{Name: "BenchmarkB", Iterations: 100, NsPerOp: 3600, BytesPerOp: 0, AllocsPerOp: 0}, // one stall
+		{Name: "BenchmarkB", Iterations: 100, NsPerOp: 520, BytesPerOp: 0, AllocsPerOp: 0},
+		{Name: "BenchmarkA", Iterations: 100, NsPerOp: 30},
+	}
+	want := []Result{
+		{Name: "BenchmarkB", Iterations: 100, NsPerOp: 520, BytesPerOp: 0, AllocsPerOp: 0},
+		{Name: "BenchmarkA", Iterations: 100, NsPerOp: 30}, // even count: lower middle
+	}
+	if got := Median(in); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Median = %+v, want %+v", got, want)
+	}
+}

@@ -55,8 +55,9 @@ type Options struct {
 	// moves (see place.RunStage1TemperedCtx). Values <= 1 run the single
 	// classic anneal. Mutually exclusive with Starts > 1.
 	Replicas int
-	// Workers bounds the goroutines used when Starts > 1 or Replicas > 1
-	// (0 = GOMAXPROCS).
+	// Workers bounds the goroutines used when Starts > 1 or Replicas > 1,
+	// and those of the global router's phase one (0 = GOMAXPROCS). Results
+	// are identical for every value.
 	Workers int
 	// SkipStage2 stops after Stage 1 (for estimator-accuracy studies).
 	SkipStage2 bool
@@ -293,6 +294,7 @@ func handOff(ctx context.Context, p *place.Placement, s1 place.Result, teil floa
 		Rho:        opt.Rho,
 		M:          opt.M,
 		MaxSteps:   opt.MaxSteps,
+		Workers:    opt.Workers,
 		Tel:        opt.Tel,
 	})
 	res.Stage2 = s2

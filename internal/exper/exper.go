@@ -331,6 +331,7 @@ func EvaluateBaseline(pl baseline.Placer, cc *netlist.Circuit, cfg Config) (teil
 		Iterations: 2,
 		Ac:         cfg.Ac,
 		M:          cfg.M,
+		Workers:    1, // the trial grid already saturates cfg.Workers
 	})
 	if err != nil {
 		return 0, geom.Rect{}, err

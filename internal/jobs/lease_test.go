@@ -227,6 +227,11 @@ func TestLeaseRenewRelease(t *testing.T) {
 // TestFleetTwoNodes runs two fleet managers over one store directory: jobs
 // submitted through one node must all complete exactly once somewhere in the
 // fleet, with journals that pass the fencing audit.
+//
+// All three jobs are submitted before n2 starts. n1 has one worker, so it
+// is saturated once it holds two jobs; with a live peer it would shed the
+// third submission as "saturated". Without one it cannot shed, and n2 still
+// joins in time to claim work from the shared store.
 func TestFleetTwoNodes(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -239,8 +244,6 @@ func TestFleetTwoNodes(t *testing.T) {
 	st1, m1 := newTestManager(t, dir, fleetCfg("n1"))
 	_, m2 := newTestManager(t, dir, fleetCfg("n2"))
 	m1.Start()
-	m2.Start()
-	defer drain(t, m2)
 	defer drain(t, m1)
 
 	const njobs = 3
@@ -255,6 +258,8 @@ func TestFleetTwoNodes(t *testing.T) {
 		}
 		jobsSubmitted[i] = j
 	}
+	m2.Start()
+	defer drain(t, m2)
 	for _, j := range jobsSubmitted {
 		rec := waitTerminal(t, j)
 		if rec.State != StateSucceeded {

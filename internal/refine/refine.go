@@ -37,6 +37,9 @@ type Options struct {
 	PowerTracks int
 	// MaxSteps bounds each refinement pass (0 = paper criterion).
 	MaxSteps int
+	// Workers bounds the goroutines of the router's phase one
+	// (0 = GOMAXPROCS); results are identical for every value.
+	Workers int
 	// Tel, when non-nil, receives trace events, metrics, and progress lines
 	// from every step of the loop: the router emits per-iteration route
 	// summaries and the refinement annealer per-temperature step events,
@@ -190,10 +193,11 @@ func runOnce(ctx context.Context, p *place.Placement, opt Options, iter int, res
 	}
 	nets := RouterNets(p, g)
 	routing, err := route.RouteCtx(ctx, rg, nets, route.Options{
-		M:     opt.M,
-		Seed:  opt.Seed + uint64(iter)*7919,
-		Tel:   opt.Tel,
-		Label: label + ".route",
+		M:       opt.M,
+		Seed:    opt.Seed + uint64(iter)*7919,
+		Tel:     opt.Tel,
+		Label:   label + ".route",
+		Workers: opt.Workers,
 	})
 	if err != nil {
 		return stat, err

@@ -30,6 +30,32 @@ func BenchmarkDijkstra(b *testing.B) {
 	}
 }
 
+// BenchmarkSpurSearch is one Yen spur search on a warmed searcher: a
+// Dijkstra with node and edge bans, stopped at the first destination, plus
+// the path trace. It must stay allocation-free.
+func BenchmarkSpurSearch(b *testing.B) {
+	g := benchGrid(b, 20, 20)
+	s := newSearcher(g)
+	s.setDsts([]int{399, 380})
+	spur := func() {
+		s.newBans()
+		s.ban(0)
+		s.ban(1)
+		s.banEdge[g.arcs[g.off[21]].edge] = s.banEpoch
+		end, ok := s.shortestPath(21)
+		if !ok {
+			b.Fatal("no path")
+		}
+		s.trace(end)
+	}
+	spur() // warm the heap and trace buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spur()
+	}
+}
+
 func BenchmarkKShortest10(b *testing.B) {
 	g := benchGrid(b, 12, 12)
 	for i := 0; i < b.N; i++ {
@@ -57,7 +83,8 @@ func BenchmarkRoutePhase2(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Route(g, nets, Options{M: 6, Seed: uint64(i)}); err != nil {
+		// One worker: the allocation count must not depend on the CPU count.
+		if _, err := Route(g, nets, Options{M: 6, Seed: uint64(i), Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -30,9 +31,22 @@ func gridGraph(t testing.TB, w, h, length, capacity int) *Graph {
 	return g
 }
 
+// searchPath runs one unbanned searcher search from src to dst.
+func searchPath(g *Graph, src, dst int) (Path, bool) {
+	s := newSearcher(g)
+	s.setDsts([]int{dst})
+	s.newBans()
+	end, ok := s.shortestPath(src)
+	if !ok {
+		return Path{}, false
+	}
+	s.trace(end)
+	return Path{Nodes: s.tailNodes, Edges: s.tailEdges, Length: s.node[end].dist}, true
+}
+
 func TestShortestPathGrid(t *testing.T) {
 	g := gridGraph(t, 4, 4, 1, 10)
-	p, ok := g.shortestPath([]int{0}, func(u int) bool { return u == 15 }, nil, nil)
+	p, ok := searchPath(g, 0, 15)
 	if !ok {
 		t.Fatal("no path")
 	}
@@ -49,7 +63,7 @@ func TestShortestPathGrid(t *testing.T) {
 
 func TestShortestPathSourceIsTarget(t *testing.T) {
 	g := gridGraph(t, 3, 3, 1, 10)
-	p, ok := g.shortestPath([]int{4}, func(u int) bool { return u == 4 }, nil, nil)
+	p, ok := searchPath(g, 4, 4)
 	if !ok || p.Length != 0 || len(p.Nodes) != 1 {
 		t.Fatalf("degenerate path wrong: %+v ok=%v", p, ok)
 	}
@@ -177,7 +191,7 @@ func TestKShortestLoopless(t *testing.T) {
 	// All distinct.
 	keys := map[string]bool{}
 	for _, p := range paths {
-		k := pathKey(p)
+		k := fmt.Sprint(p.Nodes)
 		if keys[k] {
 			t.Fatal("duplicate path returned")
 		}
@@ -302,7 +316,7 @@ func TestRouteNetAlternativesDistinct(t *testing.T) {
 	trees := g.RouteNet(net, 8)
 	seen := map[string]bool{}
 	for _, tr := range trees {
-		k := treeKey(tr.Edges)
+		k := fmt.Sprint(tr.Edges)
 		if seen[k] {
 			t.Fatal("duplicate alternative")
 		}

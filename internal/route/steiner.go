@@ -1,6 +1,8 @@
 package route
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -21,49 +23,69 @@ type Tree struct {
 }
 
 func (t Tree) hasNode(u int) bool {
-	i := sort.SearchInts(t.Nodes, u)
-	return i < len(t.Nodes) && t.Nodes[i] == u
+	_, ok := slices.BinarySearch(t.Nodes, u)
+	return ok
 }
 
-func treeKey(edges []int) string {
-	b := make([]byte, 0, 4*len(edges))
-	for _, e := range edges {
-		b = append(b, byte(e), byte(e>>8), byte(e>>16), byte(e>>24))
+// treeKeyLess orders edge lists as their tree keys compare: each id encoded
+// as 4 little-endian bytes and the concatenations compared as byte strings.
+// It breaks ties between equal-length beam trees, so it decides which
+// routes are kept; it must stay a byte-string order, not a numeric one —
+// edge 256 (00 01 00 00) sorts before edge 1 (01 00 00 00).
+func treeKeyLess(a, b []int) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if x, y := uint32(a[i]), uint32(b[i]); x != y {
+			return bits.ReverseBytes32(x) < bits.ReverseBytes32(y)
+		}
 	}
-	return string(b)
+	return len(a) < len(b)
 }
 
-// extend returns the tree grown by a path; duplicate edges contribute no
-// extra length.
-func (g *Graph) extend(t Tree, p Path) Tree {
-	edgeSet := map[int]bool{}
-	for _, e := range t.Edges {
-		edgeSet[e] = true
+// mergeUnion writes the sorted union of the sorted, duplicate-free lists a
+// and b into dst[:0] and returns it.
+func mergeUnion(dst, a, b []int) []int {
+	dst = dst[:0]
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		case a[i] > b[j]:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i, j = i+1, j+1
+		}
 	}
-	nodeSet := map[int]bool{}
-	for _, u := range t.Nodes {
-		nodeSet[u] = true
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// extend grows tree t by path p unless the grown tree's edge set is already
+// in treeSet; duplicate edges contribute no extra length. The new tree is
+// added to treeSet.
+func (s *searcher) extend(t Tree, p Path) (Tree, bool) {
+	s.pathEdges = append(s.pathEdges[:0], p.Edges...)
+	slices.Sort(s.pathEdges)
+	s.mergeEdges = mergeUnion(s.mergeEdges, t.Edges, s.pathEdges)
+	h, dup := s.treeSet.has(s.mergeEdges)
+	if dup {
+		return Tree{}, false
 	}
-	for _, e := range p.Edges {
-		edgeSet[e] = true
+	s.pathNodes = append(s.pathNodes[:0], p.Nodes...)
+	slices.Sort(s.pathNodes)
+	// One allocation holds both lists: edges first, then nodes.
+	buf := make([]int, len(s.mergeEdges), len(s.mergeEdges)+len(t.Nodes)+len(s.pathNodes))
+	copy(buf, s.mergeEdges)
+	nodes := mergeUnion(buf[len(buf):], t.Nodes, s.pathNodes)
+	out := Tree{Edges: buf[:len(buf):len(buf)], Nodes: nodes[:len(nodes):len(nodes)]}
+	for _, e := range out.Edges {
+		out.Length += s.g.Edges[e].Length
 	}
-	for _, u := range p.Nodes {
-		nodeSet[u] = true
-	}
-	out := Tree{
-		Edges: make([]int, 0, len(edgeSet)),
-		Nodes: make([]int, 0, len(nodeSet)),
-	}
-	for e := range edgeSet {
-		out.Edges = append(out.Edges, e)
-		out.Length += g.Edges[e].Length
-	}
-	for u := range nodeSet {
-		out.Nodes = append(out.Nodes, u)
-	}
-	sort.Ints(out.Edges)
-	sort.Ints(out.Nodes)
-	return out
+	s.treeSet.insert(h, out.Edges)
+	return out, true
 }
 
 // RouteNet generates up to m alternative route trees for the net, shortest
@@ -79,6 +101,10 @@ func (g *Graph) extend(t Tree, p Path) Tree {
 // which the paper reports already finds the minimal Steiner route for nearly
 // all nets under 20 pins.
 func (g *Graph) RouteNet(net Net, m int) []Tree {
+	return newSearcher(g).routeNet(net, m)
+}
+
+func (s *searcher) routeNet(net Net, m int) []Tree {
 	if m <= 0 {
 		m = 1
 	}
@@ -89,10 +115,8 @@ func (g *Graph) RouteNet(net Net, m int) []Tree {
 	// arbitrarily). Seed trees: one single-node tree per candidate.
 	start := net.Conns[0]
 	beam := make([]Tree, 0, len(start))
-	seedSeen := map[int]bool{}
 	for _, u := range start {
-		if !seedSeen[u] {
-			seedSeen[u] = true
+		if !slices.ContainsFunc(beam, func(t Tree) bool { return t.Nodes[0] == u }) {
 			beam = append(beam, Tree{Nodes: []int{u}})
 		}
 	}
@@ -108,14 +132,13 @@ func (g *Graph) RouteNet(net Net, m int) []Tree {
 	for len(remaining) > 0 {
 		// Prim step: pick the remaining connection nearest to the best
 		// partial tree.
-		best := beam[0]
-		dist := g.Distances(best.Nodes)
+		s.distances(beam[0].Nodes)
 		nearest, nearestIdx, nd := -1, -1, inf+1
 		for idx, ci := range remaining {
 			d := inf
 			for _, u := range net.Conns[ci] {
-				if dist[u] < d {
-					d = dist[u]
+				if du := s.distTo(u); du < d {
+					d = du
 				}
 			}
 			if d < nd {
@@ -130,30 +153,20 @@ func (g *Graph) RouteNet(net Net, m int) []Tree {
 		// Grow every tree in the beam toward the chosen connection with
 		// its M-shortest attachments.
 		targets := net.Conns[nearest]
+		s.setDsts(targets)
+		s.treeSet.reset()
 		var next []Tree
-		seen := map[string]bool{}
 		for _, t := range beam {
 			// Already connected through an equivalent pin?
-			connected := false
-			for _, u := range targets {
-				if t.hasNode(u) {
-					connected = true
-					break
-				}
-			}
-			if connected {
-				k := treeKey(t.Edges)
-				if !seen[k] {
-					seen[k] = true
+			if slices.ContainsFunc(targets, t.hasNode) {
+				if h, dup := s.treeSet.has(t.Edges); !dup {
+					s.treeSet.insert(h, t.Edges)
 					next = append(next, t)
 				}
 				continue
 			}
-			for _, p := range g.KShortestPaths(t.Nodes, targets, m) {
-				nt := g.extend(t, p)
-				k := treeKey(nt.Edges)
-				if !seen[k] {
-					seen[k] = true
+			for _, p := range s.kShortestFrom(t.Nodes, m) {
+				if nt, ok := s.extend(t, p); ok {
 					next = append(next, nt)
 				}
 			}
@@ -165,7 +178,7 @@ func (g *Graph) RouteNet(net Net, m int) []Tree {
 			if next[i].Length != next[j].Length {
 				return next[i].Length < next[j].Length
 			}
-			return treeKey(next[i].Edges) < treeKey(next[j].Edges)
+			return treeKeyLess(next[i].Edges, next[j].Edges)
 		})
 		if len(next) > m {
 			next = next[:m]

@@ -161,7 +161,8 @@ func (t *Tracer) Fan(extra Sink) *Tracer {
 
 // RunSpans converts a run's trace events into anneal-phase spans: run-start
 // opens a phase, run-end closes it (one span per stage1 run, per tempering
-// replica rung, per refine pass), route and checkpoint events become point
+// replica rung, per refine pass), a route event becomes a span reaching
+// back over the routing pass's duration, and checkpoint events become point
 // spans. It implements Sink, so producers need no new plumbing — the
 // manager tees it into the attempt's tracer with Fan, and the nil-tracer
 // zero-alloc fast path is untouched because a run without spans never
@@ -227,9 +228,12 @@ func (r *RunSpans) Emit(ev Event) {
 		r.mu.Lock()
 		id := r.nextIDLocked("route", ev.Run)
 		r.mu.Unlock()
+		// The route event arrives as the pass ends and carries its
+		// duration, so the span reaches back over the pass.
+		start := now.Add(-time.Duration(ev.DurMS * float64(time.Millisecond)))
 		r.emit(Span{
 			ID: id, Parent: r.parent, Name: "phase:" + ev.Run,
-			Start: now, End: now,
+			Start: start, End: now,
 			Attrs: map[string]string{
 				"len":    strconv.FormatInt(ev.Length, 10),
 				"excess": strconv.Itoa(ev.Excess),

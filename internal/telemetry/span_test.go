@@ -193,6 +193,31 @@ func TestRunSpansPhases(t *testing.T) {
 	}
 }
 
+// TestRunSpansRouteDuration pins the route span's interval: the route
+// event arrives as the pass ends, so the span ends at receipt and starts
+// DurMS earlier; an event without a duration stays a point span.
+func TestRunSpansRouteDuration(t *testing.T) {
+	var got []Span
+	rs := NewRunSpans("a1", func(sp Span) { got = append(got, sp) })
+	before := time.Now()
+	rs.Emit(Event{Type: TypeRoute, Run: "refine1.route", DurMS: 1500})
+	after := time.Now()
+	rs.Emit(Event{Type: TypeRoute, Run: "refine2.route"})
+	if len(got) != 2 {
+		t.Fatalf("emitted %d spans, want 2", len(got))
+	}
+	sp := got[0]
+	if d := sp.End.Sub(sp.Start); d != 1500*time.Millisecond {
+		t.Fatalf("route span lasts %v, want 1.5s", d)
+	}
+	if sp.End.Before(before) || sp.End.After(after) {
+		t.Fatalf("route span ends at %v, want receipt time in [%v, %v]", sp.End, before, after)
+	}
+	if pt := got[1]; !pt.End.Equal(pt.Start) {
+		t.Fatalf("route span without a duration: %v..%v, want a point", pt.Start, pt.End)
+	}
+}
+
 func TestRunSpansResume(t *testing.T) {
 	var got []Span
 	rs := NewRunSpans("a2", func(sp Span) { got = append(got, sp) })
