@@ -16,7 +16,6 @@
 GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 100x
-BENCHCOUNT ?= 5
 BENCHOUT ?= BENCH_PR15.json
 BENCHBASE ?= BENCH_PR15.json
 BENCHPKGS = ./internal/place ./internal/jobs ./internal/route
@@ -115,12 +114,14 @@ fsck-smoke:
 
 # bench records the placement, job-store and global-router hot-path
 # benchmarks (incl. the telemetry on/off pair and the lease fencing guard)
-# as committed JSON. Each benchmark runs BENCHCOUNT times and benchjson
-# keeps the median. The defaults (100x, median of 5) match bench-diff, so a
-# recorded baseline and the gate measure the same way; raise BENCHTIME
-# (e.g. BENCHTIME=2s) for publication-grade figures.
+# as committed JSON. Each benchmark runs five times and benchjson keeps the
+# median. -cpu=2 fixes GOMAXPROCS, and with it the -2 suffix on every
+# benchmark name, so a baseline recorded on one machine matches the names
+# bench-diff sees on any other. The defaults (100x, median of 5, 2 CPUs)
+# match bench-diff, so a recorded baseline and the gate measure the same
+# way; raise BENCHTIME (e.g. BENCHTIME=2s) for publication-grade figures.
 bench:
-	$(GO) test -bench . -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) -run '^$$' $(BENCHPKGS) \
+	$(GO) test -bench . -benchmem -benchtime=$(BENCHTIME) -count=5 -cpu=2 -run '^$$' $(BENCHPKGS) \
 		| $(GO) run ./cmd/benchjson -o $(BENCHOUT)
 
 # bench-smoke proves every benchmark still runs and its output still
@@ -132,12 +133,14 @@ bench-smoke:
 # bench-diff is the regression gate: a quick bench pass compared against
 # the committed baseline. 100 iterations (not 1) so one-time warmup
 # allocations and cold caches amortize out of the per-op numbers, and the
-# median of BENCHCOUNT runs so one stalled run of a sub-microsecond
-# benchmark cannot trip the gate. The ns/op tolerance is loose (short
-# timings are noisy and machines differ);
-# the allocs/op gate is strict — any increase fails, because the Stage 1
-# hot paths and the single-node lease guard are pinned at zero allocs.
+# median of five runs so one stalled run of a sub-microsecond benchmark
+# cannot trip the gate. -cpu=2 keeps benchmark names equal to the
+# baseline's whatever the host's CPU count. The ns/op tolerance is loose
+# (short timings are noisy and machines differ); the allocs/op gate is
+# strict — any increase fails, because the Stage 1 hot paths, the
+# single-node lease guard and a warmed spur search are pinned at zero
+# allocs.
 bench-diff:
-	$(GO) test -bench . -benchmem -benchtime=100x -count=$(BENCHCOUNT) -run '^$$' $(BENCHPKGS) \
+	$(GO) test -bench . -benchmem -benchtime=100x -count=5 -cpu=2 -run '^$$' $(BENCHPKGS) \
 		| $(GO) run ./cmd/benchjson -o /tmp/bench_head.json
 	$(GO) run ./cmd/benchjson -diff -ns-threshold 400 $(BENCHBASE) /tmp/bench_head.json

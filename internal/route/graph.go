@@ -551,10 +551,11 @@ func (s *searcher) kShortest(src, k int) []Path {
 			s.newBans()
 			// Ban edges used by any accepted path sharing this root. The
 			// root and the banned edges determine the spur search, so
-			// they make its signature: the root's length, the index of
-			// the first accepted path that starts with it (paths only
-			// grow, so that index names the root for the whole call),
-			// then the banned edges in order.
+			// they make its signature: the spur index (the root's length
+			// in edges), the index of the first accepted path that starts
+			// with the root and goes on past it (paths only grow, so the
+			// two indices name the root for the whole call), then the
+			// banned edges in ascending order.
 			sig := append(s.spurSig[:0], spur, -1)
 			for j, p := range paths {
 				if sharesRoot(p, rootNodes) && spur < len(p.Edges) {
