@@ -1,16 +1,13 @@
 # Standard checks for the TimberWolfMC reproduction.
 #
-#   make verify      tier-1 checks + race detector + short fuzz smokes + bench smoke/diff + twserve smoke + obs smoke + chaos smokes + fsck smoke
+#   make verify      tier-1 checks + race detector + short fuzz smokes + bench smoke/diff + twserve smoke + obs smoke + chaos smoke + fsck smoke
 #   make test        unit tests only
 #   make fuzz-smoke  10-second runs of each fuzz target
 #   make bench       place + jobs + route benchmarks with -benchmem -> BENCH_PR15.json
 #   make bench-smoke 1-iteration benchmark pass (catches bitrot, no timing)
 #   make bench-diff  a 100x median-of-5 bench pass gated against the committed baseline
 #   make obs-smoke   2-node fleet end to end: submit, scrape /metrics, twobs clean timeline
-#   make chaos-smoke bounded twchaos runs (fixed seeds, both single-process modes)
-#   make chaos-node-smoke  bounded multi-node twchaos run (3-node fleet, SIGKILLed mid-claim)
-#   make storm-smoke       bounded multi-tenant submission storm against a faulted fleet
-#   make dupstorm-smoke    bounded duplicate-submission storm (exactly-once per digest)
+#   make chaos-smoke bounded twchaos runs (fixed seeds, all five modes)
 #   make fsck-smoke        twfsck end to end against a store with seeded defects
 
 GO ?= go
@@ -20,9 +17,9 @@ BENCHOUT ?= BENCH_PR15.json
 BENCHBASE ?= BENCH_PR15.json
 BENCHPKGS = ./internal/place ./internal/jobs ./internal/route
 
-.PHONY: verify tier1 test race fuzz-smoke bench bench-smoke bench-diff serve-smoke obs-smoke chaos-smoke chaos-node-smoke storm-smoke dupstorm-smoke fsck-smoke
+.PHONY: verify tier1 test race fuzz-smoke bench bench-smoke bench-diff serve-smoke obs-smoke chaos-smoke fsck-smoke
 
-verify: tier1 race fuzz-smoke bench-diff serve-smoke obs-smoke chaos-smoke chaos-node-smoke storm-smoke dupstorm-smoke fsck-smoke
+verify: tier1 race fuzz-smoke bench-diff serve-smoke obs-smoke chaos-smoke fsck-smoke
 
 tier1:
 	$(GO) build ./...
@@ -63,45 +60,26 @@ serve-smoke:
 obs-smoke:
 	$(GO) test -run 'TestObsFleetSmoke' -count=1 -v ./cmd/twserve
 
-# chaos-smoke runs the chaos driver with fixed seeds in both fault modes:
-# a bounded in-process run (injected faults, drain/restart interrupts) and
-# a short sigkill run (real child processes killed mid-write), plus an
-# in-process run with parallel tempering so the ladder-wide checkpoint
-# format goes through the same fault schedules. Exit 0 means the recovery
-# contract held on every schedule. The full 50-schedule property test
-# already runs under tier1/race via the regular test suite.
+# chaos-smoke runs the chaos driver with fixed seeds in all five modes:
+# in-process (injected faults, drain/restart interrupts; once more with
+# parallel tempering, so the ladder-wide checkpoint format goes through the
+# same fault schedules), sigkill (real child processes killed mid-write),
+# node (a 3-node fleet SIGKILLed mid-claim under lease faults), storm (a
+# multi-tenant submission storm against the admission surface and a
+# faulted fleet) and dupstorm (racing duplicate submissions, exactly-once
+# per content digest). Every mode ends with the same cold verifier: a
+# clean twobs analysis and twfsck scrub of the store, every job terminal
+# with a placement byte-identical to a clean reference run, then the
+# mode's own assertions (quotas, exactly-once). Exit 0 means the recovery
+# contract held on every schedule. The 50-schedule acceptance runs are the
+# same commands with -schedules 50; the in-process one already runs under
+# tier1/race via the regular test suite.
 chaos-smoke:
 	$(GO) run ./cmd/twchaos -schedules 10 -seed 1
 	$(GO) run ./cmd/twchaos -mode sigkill -schedules 3 -seed 2
 	$(GO) run ./cmd/twchaos -schedules 5 -seed 3 -replicas 2
-
-# chaos-node-smoke runs the multi-node chaos mode: a 3-node fleet of real
-# twchaos children sharing one store, SIGKILLed and restarted mid-claim
-# under lease-targeted fault schedules. Exit 0 means every job reached a
-# terminal state exactly once, no write landed under a stale fencing token,
-# and succeeded placements are byte-identical to a single-node reference.
-chaos-node-smoke:
 	$(GO) run ./cmd/twchaos -mode node -schedules 3 -seed 4
-
-# storm-smoke runs the multi-tenant chaos mode: a seeded submission storm
-# crossing the full admission surface (per-tenant quotas, queue-full, the
-# weighted overload band) while a small fleet with lease faults armed works
-# through the accepted jobs. Exit 0 means quotas were never exceeded, every
-# rejection was typed and carried a Retry-After, no tenant starved, and the
-# node-mode exactly-once/byte-identity contract held. The 50-schedule
-# acceptance run is the same harness with -schedules 50.
-storm-smoke:
 	$(GO) run ./cmd/twchaos -mode storm -schedules 2 -seed 5
-
-# dupstorm-smoke runs the duplicate-submission chaos mode: racing goroutines
-# submit identical specs (raw duplicates plus retried idempotency keys)
-# through one admission front end while an armed fleet executes the
-# deduplicated work under SIGKILLs. Exit 0 means exactly one execution per
-# content digest (re-execution only over a journaled failed generation),
-# byte-identical fan-out through every alias, durable key→job mappings, and
-# a zero-error post-chaos scrub. The 50-schedule acceptance run is the same
-# harness with -schedules 50.
-dupstorm-smoke:
 	$(GO) run ./cmd/twchaos -mode dupstorm -schedules 2 -seed 6
 
 # fsck-smoke drives the twfsck binary end to end: a real store (executed

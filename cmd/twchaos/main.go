@@ -16,23 +16,28 @@
 //	                  moment — real crashes, no deferred cleanup
 //	-mode node        a fleet of -nodes child processes shares one store,
 //	                  claiming jobs under leases with fencing tokens, while
-//	                  whole instances are SIGKILLed and restarted mid-claim;
-//	                  verifies at-most-once execution, journaled takeovers,
-//	                  token-audited journals, and byte-identical placements
+//	                  whole instances are SIGKILLed and restarted mid-claim
 //	-mode storm       a seeded multi-tenant submission storm crosses the
 //	                  full admission surface (quotas, queue-full, the
 //	                  weighted overload band) while a 2–3 node fleet with
 //	                  lease faults armed churns through the accepted work;
-//	                  verifies quotas never exceeded, typed rejections with
-//	                  Retry-After, no tenant starved, deadline fail-fast,
-//	                  plus the node-mode contract (DESIGN.md §15)
+//	                  also asserts quotas never exceeded, typed rejections
+//	                  with Retry-After, no tenant starved, and deadline
+//	                  fail-fast (DESIGN.md §15)
 //	-mode dupstorm    racing goroutines submit identical specs — raw
 //	                  duplicates plus retried idempotency keys — through one
 //	                  admission front end while an armed fleet executes the
-//	                  deduplicated work under SIGKILLs; verifies exactly one
-//	                  execution per content digest, byte-identical result
-//	                  fan-out through every alias, durable key→job mapping,
-//	                  and a zero-error post-chaos scrub pass (DESIGN.md §16)
+//	                  deduplicated work under SIGKILLs; also asserts exactly
+//	                  one execution per content digest, byte-identical
+//	                  result fan-out through every alias, and durable
+//	                  key→job mappings (DESIGN.md §16)
+//
+// Every mode ends each schedule with the same cold verifier: a store open
+// that quarantines nothing more, a twobs analysis with no error finding
+// (clean journals, no token regression, lease audit, journaled takeovers,
+// no zombie writes), a dry-run twfsck scrub with no error defect, and every
+// job terminal with a placement byte-identical to a clean reference run,
+// an explicit failure reason, or a quarantined directory.
 //
 // A failing schedule is reproducible alone: twchaos -seed S -schedule N
 // -schedules 1 reruns exactly that rule set and timing stream. Exit status

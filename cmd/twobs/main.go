@@ -3,7 +3,8 @@
 // span records from one or more store roots into a causally-ordered per-job
 // timeline, cross-checks the files against the fleet protocol (DESIGN.md
 // §13–14), and reports violations — journal gaps, zombie writes, fencing
-// token regressions, takeover spans without journal records — as findings.
+// token regressions, owner changes without a journaled takeover, takeover
+// spans without journal records — as findings.
 //
 // Usage:
 //

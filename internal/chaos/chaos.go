@@ -16,6 +16,14 @@
 // Never a corrupt result, a silently lost job, a journal that breaks the
 // state machine, or a runtime invariant violation.
 //
+// The five modes (Run, RunSigkill, RunNode, RunStorm, RunDupStorm) share
+// one driver and differ only in their workload and their own assertions.
+// Every mode ends with the same cold verifier (verifyCold): one store
+// open that must quarantine nothing more, zero error findings from
+// obs.Analyze (twobs), zero error defects from a dry-run scrub.Scan
+// (twfsck), and the per-job outcome checks only chaos can make against
+// its clean reference runs.
+//
 // A schedule is reproducible from (master seed, schedule index): the rule
 // set, interrupt timings, and cancel decisions all derive from one
 // rng.Source, and the fault plane itself is seeded, so a failing schedule
@@ -23,7 +31,6 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -130,8 +137,9 @@ type Outcome struct {
 	Trips    int64
 	// States maps every surviving job to its final state.
 	States map[string]jobs.State
-	// Quarantined counts files/dirs set aside across every store open of
-	// the schedule (armed, heal, and verify passes).
+	// Quarantined counts the files and dirs the schedule's store holds
+	// set aside under ".quarantined.N" names after the heal pass, read from
+	// disk because subprocess children quarantine in their own processes.
 	Quarantined int
 	// Canceled reports whether the schedule issued a cancel.
 	Canceled bool
@@ -243,21 +251,35 @@ func (r *Report) absorb(out Outcome, logf func(string, ...any), verbose bool) {
 // exponential schedule.
 var fastBackoff = par.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}
 
-// Run executes a full chaos run in-process: a clean reference run of the
-// spec, then Options.Schedules randomized fault schedules, each verified
-// against the contract. It returns the aggregated report; err is non-nil
-// only for harness-level failures (unusable scratch dir, reference run
+// refsFunc runs a mode's clean reference jobs under the run's scratch dir
+// and returns their placement bytes keyed by content digest.
+type refsFunc func(opts *Options, dir string) (map[string][]byte, error)
+
+// scheduleFunc runs one schedule of a mode end to end — workload, heal and
+// cold verification — in dir.
+type scheduleFunc func(opts *Options, idx int, dir, exe string, refs map[string][]byte) Outcome
+
+// run is the one driver behind every mode: fill and validate the options,
+// resolve the child executable, make the scratch root, run the clean
+// reference jobs, then every schedule in turn with invariants enabled, and
+// keep the scratch stores only when something broke. err is non-nil only
+// for harness-level failures (unusable scratch dir, reference run
 // failure), never for contract violations — those are in the report.
-func Run(opts Options) (*Report, error) {
+func run(opts Options, exe, prefix string, refs refsFunc, schedule scheduleFunc) (*Report, error) {
 	opts.fill()
 	if err := opts.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("chaos: spec: %w", err)
 	}
+	if exe == "" {
+		var err error
+		if exe, err = os.Executable(); err != nil {
+			return nil, fmt.Errorf("chaos: %w", err)
+		}
+	}
 	dir := opts.Dir
 	if dir == "" {
 		var err error
-		dir, err = os.MkdirTemp("", "twchaos-*")
-		if err != nil {
+		if dir, err = os.MkdirTemp("", "twchaos-*"); err != nil {
 			return nil, fmt.Errorf("chaos: %w", err)
 		}
 	}
@@ -267,19 +289,20 @@ func Run(opts Options) (*Report, error) {
 
 	// Invariants stay on for the whole run (reference included): the
 	// checks are observe-only, so they cannot perturb byte-identity, and
-	// any violation the schedules provoke must be counted.
+	// any violation the schedules provoke must be counted. Subprocess
+	// children enable their own checker and report trips by exit code.
 	invariant.Enable(invariant.Options{Logf: opts.Logf, Registry: opts.Registry})
 	defer invariant.Disable()
 	invBase := invariant.Count()
 
-	ref, err := referenceRun(&opts, filepath.Join(dir, "reference"))
+	ref, err := refs(&opts, dir)
 	if err != nil {
-		return nil, fmt.Errorf("chaos: reference run: %w", err)
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
 
 	rep := &Report{Schedules: opts.Schedules}
 	for i := opts.FirstSchedule; i < opts.FirstSchedule+opts.Schedules; i++ {
-		out := runSchedule(&opts, i, filepath.Join(dir, fmt.Sprintf("s%03d", i)), ref)
+		out := schedule(&opts, i, filepath.Join(dir, fmt.Sprintf("%s%03d", prefix, i)), exe, ref)
 		rep.absorb(out, opts.Logf, opts.Verbose)
 	}
 	rep.InvariantViolations = invariant.Count() - invBase
@@ -290,6 +313,23 @@ func Run(opts Options) (*Report, error) {
 		opts.Logf("chaos: scratch stores kept at %s", dir)
 	}
 	return rep, nil
+}
+
+// Run executes a full chaos run in-process: a clean reference run of the
+// spec, then Options.Schedules randomized fault schedules, each verified
+// against the contract.
+func Run(opts Options) (*Report, error) {
+	return run(opts, "", "s", specRef, runSchedule)
+}
+
+// specRef runs the options' spec once, cleanly: the one reference every
+// mode but dupstorm compares against.
+func specRef(opts *Options, dir string) (map[string][]byte, error) {
+	ref, err := referenceRun(opts, filepath.Join(dir, "reference"))
+	if err != nil {
+		return nil, fmt.Errorf("reference run: %w", err)
+	}
+	return map[string][]byte{opts.Spec.ContentDigest(): ref}, nil
 }
 
 // referenceRun executes the spec once, cleanly, and returns the final
@@ -320,9 +360,9 @@ func referenceRun(opts *Options, dir string) ([]byte, error) {
 
 // runSchedule executes one fault schedule under a watchdog; a schedule that
 // outlives the deadline is itself a contract violation (hang).
-func runSchedule(opts *Options, idx int, dir string, ref []byte) Outcome {
+func runSchedule(opts *Options, idx int, dir, _ string, refs map[string][]byte) Outcome {
 	done := make(chan Outcome, 1)
-	go func() { done <- runScheduleBody(opts, idx, dir, ref) }()
+	go func() { done <- runScheduleBody(opts, idx, dir, refs) }()
 	select {
 	case out := <-done:
 		return out
@@ -335,7 +375,7 @@ func runSchedule(opts *Options, idx int, dir string, ref []byte) Outcome {
 	}
 }
 
-func runScheduleBody(opts *Options, idx int, dir string, ref []byte) Outcome {
+func runScheduleBody(opts *Options, idx int, dir string, refs map[string][]byte) Outcome {
 	src := scheduleSource(opts.Seed, idx)
 	out := Outcome{
 		Schedule: idx,
@@ -369,7 +409,6 @@ func runScheduleBody(opts *Options, idx int, dir string, ref []byte) Outcome {
 			out.Violation = fmt.Errorf("open store: %w", err)
 			return out
 		}
-		out.Quarantined += st.Quarantined()
 		m := jobs.NewManager(st, jobs.Config{
 			Workers: 1, Backoff: fastBackoff, CheckpointEvery: 1, Logf: opts.Logf,
 		})
@@ -411,7 +450,6 @@ func runScheduleBody(opts *Options, idx int, dir string, ref []byte) Outcome {
 		out.Violation = fmt.Errorf("heal open: %w", err)
 		return out
 	}
-	out.Quarantined += st.Quarantined()
 	m := jobs.NewManager(st, jobs.Config{
 		Workers: 1, Backoff: fastBackoff, CheckpointEvery: 1, Logf: opts.Logf,
 	})
@@ -423,7 +461,7 @@ func runScheduleBody(opts *Options, idx int, dir string, ref []byte) Outcome {
 			out.Violation = fmt.Errorf("heal submit: %w", err)
 			return out
 		}
-		submitted, jobID = true, j.ID
+		jobID = j.ID
 	}
 	for _, j := range st.List() {
 		if _, err := waitTerminal(j, opts.ScheduleDeadline); err != nil {
@@ -437,74 +475,8 @@ func runScheduleBody(opts *Options, idx int, dir string, ref []byte) Outcome {
 		return out
 	}
 
-	out.Violation = verifyStore(opts, dir, jobID, canceledIssued, ref, &out)
+	_, out.Violation = verifyCold(opts, dir, []string{jobID}, canceledIssued, refs, &out)
 	return out
-}
-
-// verifyStore reopens the schedule's store cold and checks the contract on
-// what is actually on disk.
-func verifyStore(opts *Options, dir, jobID string, canceledIssued bool, ref []byte, out *Outcome) error {
-	st, err := jobs.Open(dir, opts.Logf)
-	if err != nil {
-		return fmt.Errorf("verify open: %w", err)
-	}
-	// Everything damaged was quarantined (loudly) by earlier opens and the
-	// journals rewritten from their valid prefixes; a cold open after the
-	// heal pass must find nothing further to complain about.
-	if n := st.Quarantined(); n > 0 {
-		return fmt.Errorf("heal left corruption behind: verify open quarantined %d more file(s)", n)
-	}
-	out.States = map[string]jobs.State{}
-	found := false
-	for _, j := range st.List() {
-		if j.ID == jobID {
-			found = true
-		}
-		// The on-disk journal must decode with zero defects and satisfy
-		// the full state machine, ending terminal.
-		recs, err := jobs.ReadJournalDir(j.Dir())
-		if err != nil {
-			return fmt.Errorf("%s: journal corrupt after heal: %w", j.ID, err)
-		}
-		if err := jobs.CheckJournal(recs); err != nil {
-			return fmt.Errorf("%s: %w", j.ID, err)
-		}
-		if len(recs) == 0 || !recs[len(recs)-1].State.Terminal() {
-			return fmt.Errorf("%s: not terminal after heal (journal has %d records)", j.ID, len(recs))
-		}
-		last := recs[len(recs)-1]
-		out.States[j.ID] = last.State
-		switch last.State {
-		case jobs.StateSucceeded:
-			got, err := os.ReadFile(j.PlacementPath())
-			if err != nil {
-				return fmt.Errorf("%s: succeeded but placement unreadable: %w", j.ID, err)
-			}
-			if !bytes.Equal(got, ref) {
-				return fmt.Errorf("%s: placement differs from clean reference (%d vs %d bytes)",
-					j.ID, len(got), len(ref))
-			}
-			info, err := j.ReadResult()
-			if err != nil {
-				return fmt.Errorf("%s: succeeded but result unreadable: %w", j.ID, err)
-			}
-			if !info.Succeeded {
-				return fmt.Errorf("%s: journal says succeeded, result.json says not", j.ID)
-			}
-		case jobs.StateFailed:
-			if last.Detail == "" {
-				return fmt.Errorf("%s: failed with no journaled reason", j.ID)
-			}
-		case jobs.StateCanceled:
-			if !canceledIssued {
-				return fmt.Errorf("%s: canceled, but the schedule never issued a cancel", j.ID)
-			}
-		}
-	}
-	if jobID != "" && !found && out.Quarantined == 0 {
-		return fmt.Errorf("job %s silently lost: missing from the store with nothing quarantined", jobID)
-	}
-	return nil
 }
 
 // scheduleSource derives schedule idx's private rng stream from the master

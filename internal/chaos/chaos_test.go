@@ -1,8 +1,10 @@
 package chaos
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,47 +86,140 @@ func TestSchedulesAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestVerifyCatchesTamperedPlacement proves the verifier is not vacuous:
-// flipping bytes in a succeeded job's placement must fail verification.
-func TestVerifyCatchesTamperedPlacement(t *testing.T) {
+// TestVerifyColdRejects proves the one verifier is not vacuous. Each case
+// starts from a fresh clean store holding an executed job and a dedup alias
+// of it, damages it one way, and requires verifyCold to reject it — except
+// a job dir set aside under a quarantine name, which counts as quarantined,
+// not lost.
+func TestVerifyColdRejects(t *testing.T) {
 	opts := &Options{Logf: t.Logf}
 	opts.fill()
-	dir := t.TempDir()
-	ref, err := referenceRun(opts, filepath.Join(dir, "ref"))
+	refs, err := specRef(opts, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	// cleanStore runs the spec to success, then submits it again, which
+	// the dedupe cache turns into an alias of the first job.
+	cleanStore := func(t *testing.T) (string, *jobs.Job, *jobs.Job) {
+		dir := t.TempDir()
+		st, err := jobs.Open(dir, t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := jobs.NewManager(st, jobs.Config{Workers: 1, Backoff: fastBackoff, CheckpointEvery: 1, Logf: t.Logf})
+		m.Start()
+		defer drainQuiet(m)
+		exec, err := m.Submit(opts.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := waitTerminal(exec, time.Minute); err != nil || rec.State != jobs.StateSucceeded {
+			t.Fatalf("clean run ended %v (err %v)", rec.State, err)
+		}
+		alias, err := m.Submit(opts.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := waitTerminal(alias, time.Minute); err != nil || rec.State != jobs.StateDedup {
+			t.Fatalf("duplicate submit ended %v (err %v), want a dedup alias", rec.State, err)
+		}
+		return dir, exec, alias
+	}
+	for _, c := range []struct {
+		name   string
+		damage func(t *testing.T, dir string, exec, alias *jobs.Job)
+		want   string // substring of the violation; "" means accepted
+	}{
+		{"clean", func(*testing.T, string, *jobs.Job, *jobs.Job) {}, ""},
+		{"tampered placement", func(t *testing.T, _ string, exec, _ *jobs.Job) {
+			data, err := os.ReadFile(exec.PlacementPath())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(exec.PlacementPath(), append(data, "# tampered\n"...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "placement"},
+		{"unjournaled takeover", func(t *testing.T, _ string, exec, _ *jobs.Job) {
+			// Another owner's running record straight after the first one,
+			// with no takeover record between them.
+			var recs []jobs.Record
+			for _, rec := range exec.History() {
+				recs = append(recs, rec)
+				if rec.State == jobs.StateRunning && len(recs) == 2 {
+					rec.Node = "n2"
+					recs = append(recs, rec)
+				}
+			}
+			for i := range recs {
+				recs[i].Seq = i + 1
+			}
+			data, err := jobs.EncodeJournal(recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(jobs.JournalPath(exec.Dir()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "takeover-unjournaled"},
+		{"alias source removed", func(t *testing.T, _ string, exec, _ *jobs.Job) {
+			if err := os.RemoveAll(exec.Dir()); err != nil {
+				t.Fatal(err)
+			}
+		}, "alias"},
+		{"job dir deleted", func(t *testing.T, _ string, _, alias *jobs.Job) {
+			if err := os.RemoveAll(alias.Dir()); err != nil {
+				t.Fatal(err)
+			}
+		}, "silently lost"},
+		{"job dir quarantined", func(t *testing.T, _ string, _, alias *jobs.Job) {
+			if err := os.Rename(alias.Dir(), alias.Dir()+".quarantined.0"); err != nil {
+				t.Fatal(err)
+			}
+		}, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir, exec, alias := cleanStore(t)
+			c.damage(t, dir, exec, alias)
+			var out Outcome
+			_, err := verifyCold(opts, dir, []string{exec.ID, alias.ID}, false, refs, &out)
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case c.want != "" && err == nil:
+				t.Fatal("verifier accepted the damaged store")
+			case c.want != "" && !strings.Contains(err.Error(), c.want):
+				t.Fatalf("rejected for the wrong reason (want %q): %v", c.want, err)
+			}
+			if c.name == "job dir quarantined" && out.Quarantined != 1 {
+				t.Fatalf("quarantined = %d, want 1", out.Quarantined)
+			}
+		})
+	}
+}
 
-	sdir := filepath.Join(dir, "s0")
-	st, err := jobs.Open(sdir, t.Logf)
+// TestScheduleRulesGolden pins the schedule derivation: the rule strings of
+// ScheduleRules and NodeScheduleRules for a fixed grid of seeds, schedule
+// indices and slots, as testdata/rules.golden records them. A schedule is
+// replayed from (seed, index) alone, so any change here changes every
+// recorded failing schedule's meaning.
+func TestScheduleRulesGolden(t *testing.T) {
+	var b strings.Builder
+	for _, s := range []uint64{1, 7, 13, 29, 41} {
+		for i := 0; i < 10; i++ {
+			o := Outcome{Rules: ScheduleRules(s, i)}
+			fmt.Fprintf(&b, "seed=%d i=%d: %s\n", s, i, o.RulesString())
+			for slot := 0; slot < 3; slot++ {
+				o := Outcome{Rules: NodeScheduleRules(s, i, slot)}
+				fmt.Fprintf(&b, "seed=%d i=%d slot=%d: %s\n", s, i, slot, o.RulesString())
+			}
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "rules.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := jobs.NewManager(st, jobs.Config{Workers: 1, Backoff: fastBackoff, CheckpointEvery: 1, Logf: t.Logf})
-	m.Start()
-	j, err := m.Submit(opts.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec, err := waitTerminal(j, time.Minute); err != nil || rec.State != jobs.StateSucceeded {
-		t.Fatalf("clean run ended %v (err %v)", rec.State, err)
-	}
-	drainQuiet(m)
-
-	var out Outcome
-	if err := verifyStore(opts, sdir, j.ID, false, ref, &out); err != nil {
-		t.Fatalf("clean store failed verification: %v", err)
-	}
-
-	data, err := os.ReadFile(j.PlacementPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(j.PlacementPath(), append(data, []byte("# tampered\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out = Outcome{}
-	if err := verifyStore(opts, sdir, j.ID, false, ref, &out); err == nil {
-		t.Fatal("verifier accepted a tampered placement")
+	if got := b.String(); got != string(want) {
+		t.Fatalf("schedule rules differ from testdata/rules.golden:\n%s", got)
 	}
 }

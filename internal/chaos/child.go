@@ -114,72 +114,37 @@ func ChildMain() int {
 		defer faultinject.Disarm()
 	}
 
-	if slotEnv := os.Getenv(EnvNode); slotEnv != "" {
-		return nodeChildMain(dir, slotEnv, logf)
-	}
-
-	var spec jobs.Spec
-	if err := json.Unmarshal([]byte(os.Getenv(EnvSpec)), &spec); err != nil {
-		logf("bad %s: %v", EnvSpec, err)
-		return childExitSetup
-	}
-
 	st, err := jobs.Open(dir, logf)
 	if err != nil {
 		logf("open store: %v", err)
 		return childExitRetry
 	}
-	m := jobs.NewManager(st, jobs.Config{
-		Workers: 1, Backoff: fastBackoff, CheckpointEvery: 1, Logf: logf,
-	})
+	cfg := jobs.Config{Workers: 1, Backoff: fastBackoff, CheckpointEvery: 1, Logf: logf}
+	var spec jobs.Spec
+	if slotEnv := os.Getenv(EnvNode); slotEnv != "" {
+		// A fleet node: claim whatever work the lease protocol entitles it
+		// to from the shared store; the parent submits the jobs.
+		cfg.NodeID = "n" + slotEnv
+		cfg.LeaseTTL, cfg.ScanEvery = nodeLeaseTTL, nodeScanEvery
+		if conf := os.Getenv(EnvTenants); conf != "" {
+			if cfg.Tenants, err = jobs.ParseTenantConfig(strings.NewReader(conf)); err != nil {
+				logf("bad %s: %v", EnvTenants, err)
+				return childExitSetup
+			}
+		}
+	} else if err := json.Unmarshal([]byte(os.Getenv(EnvSpec)), &spec); err != nil {
+		logf("bad %s: %v", EnvSpec, err)
+		return childExitSetup
+	}
+	m := jobs.NewManager(st, cfg)
 	m.Start()
-	if len(st.List()) == 0 {
+	if cfg.NodeID == "" && len(st.List()) == 0 {
 		if _, err := m.Submit(spec); err != nil {
 			logf("submit rejected: %v", err)
 			drainQuiet(m)
 			return childExitRetry
 		}
 	}
-	deadline := time.Now().Add(time.Minute)
-	for time.Now().Before(deadline) && !allTerminal(st) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	drainQuiet(m)
-	if !allTerminal(st) {
-		logf("jobs not terminal after %v", time.Minute)
-		return childExitRetry
-	}
-	if invariant.Count() > 0 {
-		return ChildExitInvariant
-	}
-	return childExitOK
-}
-
-// nodeChildMain is the fleet variant of the child body: open the shared
-// store as node "n<slot>", let the manager's scan loop claim whatever work
-// its lease protocol entitles it to, and exit OK once every job in the
-// store is terminal. The parent submits the jobs and delivers the SIGKILLs.
-func nodeChildMain(dir, slotEnv string, logf func(string, ...any)) int {
-	st, err := jobs.Open(dir, logf)
-	if err != nil {
-		logf("open store: %v", err)
-		return childExitRetry
-	}
-	var tcfg *jobs.TenantConfig
-	if conf := os.Getenv(EnvTenants); conf != "" {
-		tcfg, err = jobs.ParseTenantConfig(strings.NewReader(conf))
-		if err != nil {
-			logf("bad %s: %v", EnvTenants, err)
-			return childExitSetup
-		}
-	}
-	m := jobs.NewManager(st, jobs.Config{
-		Workers: 1, Backoff: fastBackoff, CheckpointEvery: 1, Logf: logf,
-		NodeID:   "n" + slotEnv,
-		LeaseTTL: nodeLeaseTTL, ScanEvery: nodeScanEvery,
-		Tenants: tcfg,
-	})
-	m.Start()
 	deadline := time.Now().Add(time.Minute)
 	for time.Now().Before(deadline) && !allTerminal(st) {
 		time.Sleep(2 * time.Millisecond)

@@ -18,28 +18,20 @@ package chaos
 //   - idempotency keys are durable: the retried key returns the original
 //     job ID at submit time, and the on-disk key index still maps every key
 //     to that job after the SIGKILL churn;
-//   - the store itself stays scrubbable: a post-chaos internal/scrub pass
-//     (the library behind twfsck) over the schedule's store reports zero
-//     error-severity defects — SIGKILL may leave self-healing crash debris
-//     (torn O_EXCL claim/index files), never divergence or rot.
-//
-// The node-mode recovery contract (decoded journals, state machine + token
-// monotonicity, AuditLease, journaled takeovers, byte-identical placements)
-// is verified unchanged on the same store first.
+//   - the store itself stays scrubbable and analyzable: like every mode,
+//     the schedule ends with verifyCold, whose twfsck (internal/scrub) and
+//     twobs (internal/obs) passes must report zero error-severity defects
+//     and findings — SIGKILL may leave self-healing crash debris (torn
+//     O_EXCL claim/index files), never divergence or rot.
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/faultinject"
-	"repro/internal/invariant"
 	"repro/internal/jobs"
-	"repro/internal/scrub"
 )
 
 // dupStormAttempts is the refusal-retry budget per duplicate submitter.
@@ -69,72 +61,43 @@ type dupResult struct {
 // 1–3 distinct specs are submitted by 3–6 racing submitters each (a seeded
 // half of them idempotency-keyed and immediately retried) while an armed
 // 2–3 node fleet churns through the deduplicated executions under seeded
-// SIGKILLs. After a faultless heal pass, the store is verified cold against
-// the node-mode recovery contract, the exactly-once/fan-out contract above,
-// and a zero-error scrub pass. exe follows the RunSigkill child-protocol
-// contract (empty = current executable routing IsChild() to ChildMain).
+// SIGKILLs. After a faultless heal pass, verifyCold checks the store and
+// the exactly-once/fan-out assertions above run on it. exe follows the
+// RunSigkill child-protocol contract (empty = current executable routing
+// IsChild() to ChildMain).
 func RunDupStorm(opts Options, exe string) (*Report, error) {
-	opts.fill()
-	if err := opts.Spec.Validate(); err != nil {
-		return nil, fmt.Errorf("chaos: spec: %w", err)
-	}
-	if exe == "" {
-		var err error
-		exe, err = os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %w", err)
-		}
-	}
-	dir := opts.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "twchaos-*")
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %w", err)
-		}
-	}
-	if faultinject.Armed() {
-		return nil, errors.New("chaos: a fault plane is already armed")
-	}
+	return run(opts, exe, "d", dupRefs, runDupStormSchedule)
+}
 
-	invariant.Enable(invariant.Options{Logf: opts.Logf, Registry: opts.Registry})
-	defer invariant.Disable()
-	invBase := invariant.Count()
-
-	// One clean reference run per spec variant: the variants differ only in
-	// their anneal seed, which is enough for distinct content digests and
-	// distinct (deterministic) placements.
+// dupVariants returns the storm's spec variants: they differ only in their
+// anneal seed, which is enough for distinct content digests and distinct
+// (deterministic) placements.
+func dupVariants(spec jobs.Spec) []jobs.Spec {
 	variants := make([]jobs.Spec, 3)
-	refs := map[string][]byte{}
 	for i := range variants {
-		variants[i] = opts.Spec
-		variants[i].Seed = opts.Spec.Seed + uint64(i)
-		o := opts
-		o.Spec = variants[i]
+		variants[i] = spec
+		variants[i].Seed = spec.Seed + uint64(i)
+	}
+	return variants
+}
+
+// dupRefs runs one clean reference per spec variant.
+func dupRefs(opts *Options, dir string) (map[string][]byte, error) {
+	refs := map[string][]byte{}
+	for i, v := range dupVariants(opts.Spec) {
+		o := *opts
+		o.Spec = v
 		ref, err := referenceRun(&o, filepath.Join(dir, fmt.Sprintf("reference%d", i)))
 		if err != nil {
-			return nil, fmt.Errorf("chaos: reference run %d: %w", i, err)
+			return nil, fmt.Errorf("reference run %d: %w", i, err)
 		}
-		refs[variants[i].ContentDigest()] = ref
+		refs[v.ContentDigest()] = ref
 	}
-
-	rep := &Report{Schedules: opts.Schedules}
-	for i := opts.FirstSchedule; i < opts.FirstSchedule+opts.Schedules; i++ {
-		out := runDupStormSchedule(&opts, i, filepath.Join(dir, fmt.Sprintf("d%03d", i)), variants, refs, exe)
-		rep.absorb(out, opts.Logf, opts.Verbose)
-	}
-	rep.InvariantViolations = invariant.Count() - invBase
-
-	if rep.OK() && opts.Dir == "" {
-		os.RemoveAll(dir)
-	} else if !rep.OK() {
-		opts.Logf("chaos: scratch stores kept at %s", dir)
-	}
-	return rep, nil
+	return refs, nil
 }
 
 // runDupStormSchedule runs one duplicate-storm schedule end to end.
-func runDupStormSchedule(opts *Options, idx int, dir string, variants []jobs.Spec, refs map[string][]byte, exe string) Outcome {
+func runDupStormSchedule(opts *Options, idx int, dir, exe string, refs map[string][]byte) Outcome {
 	src := scheduleSource(opts.Seed, idx)
 	out := Outcome{Schedule: idx, Rules: NodeScheduleRules(opts.Seed, idx, 0)}
 
@@ -154,6 +117,7 @@ func runDupStormSchedule(opts *Options, idx int, dir string, variants []jobs.Spe
 	// Seeded plan, drawn entirely up front: rng sources are not safe for
 	// concurrent use, and the racing goroutines are the point of this mode.
 	tenants := []string{"", "acme", "beta"}
+	variants := dupVariants(opts.Spec)
 	var plan []dupSubmitter
 	nspecs := src.IntRange(1, 3)
 	for i := 0; i < nspecs; i++ {
@@ -174,35 +138,10 @@ func runDupStormSchedule(opts *Options, idx int, dir string, variants []jobs.Spe
 	}
 	backoffSeed := opts.Seed ^ uint64(idx)<<32
 
-	nodes := src.IntRange(2, 3)
-	env := func(slot int, armed bool) []string {
-		e := append(os.Environ(),
-			EnvChild+"=1",
-			EnvDir+"="+dir,
-			EnvSeed+"="+strconv.FormatUint(opts.Seed, 10),
-			EnvIndex+"="+strconv.Itoa(idx),
-			EnvNode+"="+strconv.Itoa(slot),
-		)
-		if armed {
-			e = append(e, EnvArmed+"=1")
-		}
-		return e
-	}
-	procs := make([]*nodeProc, nodes)
-	for slot := range procs {
-		p, err := startNode(exe, env(slot, true))
-		if err != nil {
-			out.Violation = fmt.Errorf("spawn node %d: %w", slot, err)
-			return out
-		}
-		procs[slot] = p
-	}
-	stopAll := func() {
-		for _, p := range procs {
-			if p != nil {
-				p.kill()
-			}
-		}
+	f, err := newFleet(opts, exe, src.IntRange(2, 3), childEnv(opts, idx, dir))
+	if err != nil {
+		out.Violation = err
+		return out
 	}
 
 	// The storm: every planned submitter races in its own goroutine against
@@ -230,45 +169,23 @@ func runDupStormSchedule(opts *Options, idx int, dir string, variants []jobs.Spe
 		case <-done:
 			submitting = false
 		case <-time.After(time.Duration(src.IntRange(10, 50)) * time.Millisecond):
-			for slot, p := range procs {
-				if p == nil || !p.exited() {
-					continue
-				}
-				if v := reapNode(slot, p); v != nil {
-					out.Violation = v
-					stopAll()
-					return out
-				}
-				p, err := startNode(exe, env(slot, true))
-				if err != nil {
-					out.Violation = fmt.Errorf("respawn node %d: %w", slot, err)
-					stopAll()
-					return out
-				}
-				procs[slot] = p
+			if out.Violation = f.reap(true); out.Violation != nil {
+				return out
 			}
 			if kills < opts.MaxRestarts && src.Bool(0.3) {
-				victim := src.Intn(nodes)
-				if p := procs[victim]; p != nil {
-					p.kill()
-				}
-				p, err := startNode(exe, env(victim, true))
-				if err != nil {
-					out.Violation = fmt.Errorf("respawn node %d: %w", victim, err)
-					stopAll()
+				if out.Violation = f.kill(src.Intn(len(f.procs))); out.Violation != nil {
 					return out
 				}
-				procs[victim] = p
 				kills++
 				out.Restarts++
 			}
 		case <-deadline:
 			out.Violation = fmt.Errorf("hang: submitters outlived %v", opts.ScheduleDeadline)
-			stopAll()
+			f.stop()
 			return out
 		}
 	}
-	stopAll()
+	f.stop()
 	for _, r := range results {
 		if r.err != nil {
 			out.Violation = r.err
@@ -281,49 +198,20 @@ func runDupStormSchedule(opts *Options, idx int, dir string, variants []jobs.Spe
 	}
 
 	// Heal: a faultless fleet must run every winning execution to a
-	// terminal state within the deadline (aliases are born terminal).
-	heal := make([]*nodeProc, nodes)
-	for slot := range heal {
-		p, err := startNode(exe, env(slot, false))
-		if err != nil {
-			out.Violation = fmt.Errorf("heal: spawn node %d: %w", slot, err)
-			break
-		}
-		heal[slot] = p
-	}
-	for slot, p := range heal {
-		if p == nil {
-			continue
-		}
-		res := p.result(opts.ScheduleDeadline)
-		switch {
-		case res.hung:
-			out.Violation = fmt.Errorf("hang: heal node %d outlived %v\n%s", slot, opts.ScheduleDeadline, res.stderr)
-		case res.code == ChildExitInvariant:
-			out.Violation = fmt.Errorf("heal node %d reported invariant violations\n%s", slot, res.stderr)
-		case res.code != childExitOK:
-			out.Violation = fmt.Errorf("heal node %d exited %d\n%s", slot, res.code, res.stderr)
-		}
-	}
-	if out.Violation != nil {
-		for _, p := range heal {
-			if p != nil {
-				p.kill()
-			}
-		}
+	// terminal state within the deadline (aliases are born terminal). Then
+	// the one cold verifier, and the exactly-once/fan-out assertions on the
+	// store it opened.
+	if out.Violation = f.heal(); out.Violation != nil {
 		return out
 	}
-
-	// Cold verification: the unchanged node-mode recovery contract first,
-	// then the exactly-once/fan-out contract, then the scrub pass.
-	ids := make(map[string]bool, len(results))
-	for _, r := range results {
-		ids[r.job] = true
+	ids := make([]string, len(results))
+	for k, r := range results {
+		ids[k] = r.job
 	}
-	if out.Violation = verifyNodeStore(opts, dir, ids, refs, &out); out.Violation != nil {
-		return out
+	st, out.Violation = verifyCold(opts, dir, ids, false, refs, &out)
+	if out.Violation == nil {
+		out.Violation = verifyDupStorm(st, results, refs)
 	}
-	out.Violation = verifyDupStore(opts, dir, results, refs)
 	return out
 }
 
@@ -368,13 +256,10 @@ func submitDup(sub *jobs.Manager, s dupSubmitter, n int, seed uint64) dupResult 
 	return dupResult{job: j.ID, digest: s.spec.ContentDigest(), key: s.key}
 }
 
-// verifyDupStore checks the exactly-once and fan-out contract on the cold
-// store, then requires a clean scrub pass.
-func verifyDupStore(opts *Options, dir string, subs []dupResult, refs map[string][]byte) error {
-	st, err := jobs.Open(dir, opts.Logf)
-	if err != nil {
-		return fmt.Errorf("dupstorm verify open: %w", err)
-	}
+// verifyDupStorm checks the exactly-once and fan-out contract on the cold
+// store. Submitted jobs missing from it were already judged by verifyCold
+// (quarantined, not lost).
+func verifyDupStorm(st *jobs.Store, subs []dupResult, refs map[string][]byte) error {
 	byID := map[string]*jobs.Job{}
 	for _, j := range st.List() {
 		byID[j.ID] = j
@@ -385,7 +270,7 @@ func verifyDupStore(opts *Options, dir string, subs []dupResult, refs map[string
 	for _, s := range subs {
 		j, ok := byID[s.job]
 		if !ok {
-			return fmt.Errorf("submitted job %s vanished from the store", s.job)
+			continue
 		}
 		if got := j.Spec.ContentDigest(); got != s.digest {
 			return fmt.Errorf("%s: persisted content digest %s, submitted %s", s.job, got, s.digest)
@@ -488,20 +373,5 @@ func verifyDupStore(opts *Options, dir string, subs []dupResult, refs map[string
 		}
 	}
 
-	// The scrubber gets the last word: a dry-run pass over the churned
-	// store must find no error-severity defects. Warnings are legitimate
-	// SIGKILL debris (torn O_EXCL claim and index files) that the store
-	// self-heals; errors are divergence or rot, and the contract is zero.
-	srep, err := scrub.Scan([]string{dir}, scrub.Options{Logf: opts.Logf})
-	if err != nil {
-		return fmt.Errorf("post-chaos scrub: %w", err)
-	}
-	if n := srep.Errors(); n > 0 {
-		for _, d := range srep.Defects {
-			if d.Severity == scrub.SevError {
-				return fmt.Errorf("post-chaos scrub found %d error defect(s); first: %s %s: %s", n, d.Kind, d.Path, d.Detail)
-			}
-		}
-	}
 	return nil
 }

@@ -9,10 +9,10 @@ import "testing"
 // mid-run. The verifier requires exactly one execution per content digest
 // (a re-execution only when a journaled predecessor generation failed),
 // byte-identical result fan-out through every alias, durable key→job
-// mappings, the unchanged node-mode recovery contract, and a zero-error
-// post-chaos scrub pass. The full 50-schedule acceptance run is the same
+// mappings, and the cold verifier every mode ends with (zero-error twobs
+// and twfsck passes, byte-identical placements). The full 50-schedule acceptance run is the same
 // harness via cmd/twchaos -mode dupstorm -schedules 50 (make
-// dupstorm-smoke runs a bounded slice).
+// chaos-smoke runs a bounded slice).
 func TestChaosDupStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos run skipped in -short mode")

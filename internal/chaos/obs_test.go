@@ -9,12 +9,11 @@ import (
 )
 
 // TestChaosNodeTimelines closes the observability loop on the multi-node
-// chaos harness: after a full armed-churn-then-heal run, twobs's analyzer
-// must reconstruct a complete, causally-consistent timeline for every job
-// from the cold store files alone — no journal gaps, every takeover span
-// backed by its journaled record, zero zombie writes. Torn tails (span or
-// claim debris from SIGKILLs mid-append) are expected and allowed; they
-// surface as warnings, never errors.
+// chaos harness. RunNode itself already fails a schedule on any twobs
+// error finding (verifyCold); this test adds completeness: after a full
+// armed-churn-then-heal run, the analyzer must reconstruct, from the cold
+// store files alone, a timeline for every job that interleaves journal
+// and span records and closes with a terminal interval.
 func TestChaosNodeTimelines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos run skipped in -short mode")
@@ -41,13 +40,6 @@ func TestChaosNodeTimelines(t *testing.T) {
 		}
 		if report.JobCount == 0 {
 			t.Fatalf("schedule %d: no jobs reconstructed from %s", i, sched)
-		}
-		for _, f := range report.Findings() {
-			if f.Severity == "error" {
-				t.Errorf("schedule %d: %s: %s: %s", i, f.Job, f.Kind, f.Detail)
-			} else {
-				t.Logf("schedule %d: %s: warning %s: %s (crash debris, allowed)", i, f.Job, f.Kind, f.Detail)
-			}
 		}
 		// Completeness: every reconstructed job must interleave journal and
 		// span records — a journal-only timeline means span emission silently

@@ -1,18 +1,9 @@
 package chaos
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
 	"time"
-
-	"repro/internal/faultinject"
-	"repro/internal/invariant"
 )
 
 // RunSigkill executes a chaos run where every armed phase is a real child
@@ -21,161 +12,44 @@ import (
 // spawns up to MaxRestarts+1 armed children (rules derived in-child from the
 // same (seed, index) the in-process runner uses), then one unarmed heal
 // child that must converge, then verifies the store cold in the parent with
-// the same contract checks as Run.
+// the same verifier as every other mode.
 //
 // exe is the binary to re-execute under the child protocol (EnvChild etc.);
 // empty means the current executable. Its main or TestMain must route
 // IsChild() invocations to ChildMain.
 func RunSigkill(opts Options, exe string) (*Report, error) {
-	opts.fill()
-	if err := opts.Spec.Validate(); err != nil {
-		return nil, fmt.Errorf("chaos: spec: %w", err)
-	}
-	if exe == "" {
-		var err error
-		exe, err = os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %w", err)
-		}
-	}
-	dir := opts.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "twchaos-*")
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %w", err)
-		}
-	}
-	if faultinject.Armed() {
-		return nil, errors.New("chaos: a fault plane is already armed")
-	}
-	specJSON, err := json.Marshal(opts.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: spec: %w", err)
-	}
-
-	// The parent itself only runs the clean reference and the cold verify;
-	// invariants cover those, while each child enables its own checker and
-	// reports trips through its exit code.
-	invariant.Enable(invariant.Options{Logf: opts.Logf, Registry: opts.Registry})
-	defer invariant.Disable()
-	invBase := invariant.Count()
-
-	ref, err := referenceRun(&opts, filepath.Join(dir, "reference"))
-	if err != nil {
-		return nil, fmt.Errorf("chaos: reference run: %w", err)
-	}
-
-	rep := &Report{Schedules: opts.Schedules}
-	for i := opts.FirstSchedule; i < opts.FirstSchedule+opts.Schedules; i++ {
-		out := runSigkillSchedule(&opts, i, filepath.Join(dir, fmt.Sprintf("k%03d", i)), ref, exe, specJSON)
-		rep.absorb(out, opts.Logf, opts.Verbose)
-	}
-	rep.InvariantViolations = invariant.Count() - invBase
-
-	if rep.OK() && opts.Dir == "" {
-		os.RemoveAll(dir)
-	} else if !rep.OK() {
-		opts.Logf("chaos: scratch stores kept at %s", dir)
-	}
-	return rep, nil
+	return run(opts, exe, "k", specRef, runSigkillSchedule)
 }
 
 // runSigkillSchedule runs one schedule's kill/restart/heal cycle.
-func runSigkillSchedule(opts *Options, idx int, dir string, ref []byte, exe string, specJSON []byte) Outcome {
+func runSigkillSchedule(opts *Options, idx int, dir, exe string, refs map[string][]byte) Outcome {
 	src := scheduleSource(opts.Seed, idx)
 	out := Outcome{Schedule: idx, Rules: genRules(src)}
-	env := append(os.Environ(),
-		EnvChild+"=1",
-		EnvDir+"="+dir,
-		EnvSeed+"="+strconv.FormatUint(opts.Seed, 10),
-		EnvIndex+"="+strconv.Itoa(idx),
-		EnvSpec+"="+string(specJSON),
-	)
+	specJSON, err := json.Marshal(opts.Spec)
+	if err != nil {
+		out.Violation = fmt.Errorf("spec: %w", err)
+		return out
+	}
+	env := childEnv(opts, idx, dir, EnvSpec+"="+string(specJSON))
 
-	completed := false
-	for r := 0; r <= opts.MaxRestarts && !completed; r++ {
+	for r := 0; r <= opts.MaxRestarts; r++ {
 		if r > 0 {
 			out.Restarts++
 		}
 		killAfter := time.Duration(src.IntRange(5, 80)) * time.Millisecond
 		res := runChild(exe, append(env[:len(env):len(env)], EnvArmed+"=1"), killAfter, opts.ScheduleDeadline)
-		switch {
-		case res.err != nil:
-			out.Violation = fmt.Errorf("restart %d: spawn child: %w", r, res.err)
+		if out.Violation = res.check(fmt.Sprintf("restart %d: armed child", r), true, opts.ScheduleDeadline); out.Violation != nil {
 			return out
-		case res.hung:
-			out.Violation = fmt.Errorf("hang: restart %d: armed child outlived %v\n%s",
-				r, opts.ScheduleDeadline, res.stderr)
-			return out
-		case res.killed:
-			// The point of the exercise: the child died mid-write somewhere.
-		case res.code == childExitOK:
-			completed = true
-		case res.code == childExitRetry:
-			// Clean non-result under faults; the next cycle or heal retries.
-		case res.code == ChildExitInvariant:
-			out.Violation = fmt.Errorf("restart %d: child reported invariant violations\n%s", r, res.stderr)
-			return out
-		default:
-			out.Violation = fmt.Errorf("restart %d: child exited %d\n%s", r, res.code, res.stderr)
-			return out
+		}
+		if !res.killed && res.code == childExitOK {
+			break
 		}
 	}
 
 	// Heal pass: a faultless child must converge on its own.
 	res := runChild(exe, env, -1, opts.ScheduleDeadline)
-	switch {
-	case res.err != nil:
-		out.Violation = fmt.Errorf("heal: spawn child: %w", res.err)
-	case res.hung:
-		out.Violation = fmt.Errorf("hang: heal child outlived %v\n%s", opts.ScheduleDeadline, res.stderr)
-	case res.code == ChildExitInvariant:
-		out.Violation = fmt.Errorf("heal: child reported invariant violations\n%s", res.stderr)
-	case res.code != childExitOK:
-		out.Violation = fmt.Errorf("heal: child exited %d\n%s", res.code, res.stderr)
-	default:
-		out.Violation = verifyStore(opts, dir, "", false, ref, &out)
+	if out.Violation = res.check("heal child", false, opts.ScheduleDeadline); out.Violation == nil {
+		_, out.Violation = verifyCold(opts, dir, nil, false, refs, &out)
 	}
 	return out
-}
-
-// childResult is one child process's fate.
-type childResult struct {
-	code   int
-	killed bool // SIGKILLed on schedule
-	hung   bool // killed by the watchdog instead of exiting
-	stderr string
-	err    error // spawn failure
-}
-
-// runChild executes exe under env, SIGKILLs it after killAfter (< 0 means
-// never), and enforces deadline as a watchdog either way.
-func runChild(exe string, env []string, killAfter, deadline time.Duration) childResult {
-	var buf bytes.Buffer
-	cmd := exec.Command(exe)
-	cmd.Env = env
-	cmd.Stdout = &buf
-	cmd.Stderr = &buf
-	if err := cmd.Start(); err != nil {
-		return childResult{err: err}
-	}
-	done := make(chan struct{})
-	go func() { cmd.Wait(); close(done) }()
-	var kill <-chan time.Time
-	if killAfter >= 0 {
-		kill = time.After(killAfter)
-	}
-	select {
-	case <-done:
-		return childResult{code: cmd.ProcessState.ExitCode(), stderr: buf.String()}
-	case <-kill:
-		cmd.Process.Kill()
-		<-done
-		return childResult{killed: true}
-	case <-time.After(deadline):
-		cmd.Process.Kill()
-		<-done
-		return childResult{hung: true, stderr: buf.String()}
-	}
 }

@@ -15,25 +15,19 @@ package chaos
 //     capacity (503-family) refusal carrying a Retry-After of at least one
 //     second — never a bare error, never an unexplained drop;
 //   - no tenant starves: every accepted job of every tenant is terminal
-//     after heal, and jobs submitted with an already-expired deadline are
-//     failed fast with a journaled reason instead of clogging their
-//     tenant's quota forever;
-//   - accepted work still runs exactly once: the node-mode contract
-//     (decoded journals, state machine + token monotonicity, AuditLease,
-//     journaled takeovers, byte-identical placements) is verified unchanged
-//     on the same store.
+//     (or loudly quarantined) after heal, and jobs submitted with an
+//     already-expired deadline are failed fast with a journaled reason
+//     instead of clogging their tenant's quota forever;
+//   - accepted work still runs exactly once: the cold verifier every mode
+//     ends with (verifyCold: obs findings, scrub defects, outcomes against
+//     the clean reference) runs first, on the same store.
 
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/faultinject"
-	"repro/internal/invariant"
 	"repro/internal/jobs"
 	"repro/internal/par"
 )
@@ -108,58 +102,12 @@ func hintBackoff(hint time.Duration, seed uint64) par.Backoff {
 // tenant config (weights, in-flight caps, sometimes a tight rate limit), a
 // fleet of armed worker children sharing one store, and a submission storm
 // from the parent through the full admission surface, with fleet members
-// SIGKILLed at seeded moments. After a faultless heal pass, the store is
-// verified cold against both the node-mode recovery contract and the
-// tenant-isolation contract above. exe follows the RunSigkill
-// child-protocol contract (empty = current executable routing IsChild() to
-// ChildMain).
+// SIGKILLed at seeded moments. After a faultless heal pass, verifyCold
+// checks the store and the tenant-isolation assertions above run on it.
+// exe follows the RunSigkill child-protocol contract (empty = current
+// executable routing IsChild() to ChildMain).
 func RunStorm(opts Options, exe string) (*Report, error) {
-	opts.fill()
-	if err := opts.Spec.Validate(); err != nil {
-		return nil, fmt.Errorf("chaos: spec: %w", err)
-	}
-	if exe == "" {
-		var err error
-		exe, err = os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %w", err)
-		}
-	}
-	dir := opts.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "twchaos-*")
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %w", err)
-		}
-	}
-	if faultinject.Armed() {
-		return nil, errors.New("chaos: a fault plane is already armed")
-	}
-
-	invariant.Enable(invariant.Options{Logf: opts.Logf, Registry: opts.Registry})
-	defer invariant.Disable()
-	invBase := invariant.Count()
-
-	ref, err := referenceRun(&opts, filepath.Join(dir, "reference"))
-	if err != nil {
-		return nil, fmt.Errorf("chaos: reference run: %w", err)
-	}
-	refs := map[string][]byte{opts.Spec.ContentDigest(): ref}
-
-	rep := &Report{Schedules: opts.Schedules}
-	for i := opts.FirstSchedule; i < opts.FirstSchedule+opts.Schedules; i++ {
-		out := runStormSchedule(&opts, i, filepath.Join(dir, fmt.Sprintf("s%03d", i)), refs, exe)
-		rep.absorb(out, opts.Logf, opts.Verbose)
-	}
-	rep.InvariantViolations = invariant.Count() - invBase
-
-	if rep.OK() && opts.Dir == "" {
-		os.RemoveAll(dir)
-	} else if !rep.OK() {
-		opts.Logf("chaos: scratch stores kept at %s", dir)
-	}
-	return rep, nil
+	return run(opts, exe, "s", specRef, runStormSchedule)
 }
 
 // stormSubmission is one accepted storm job the parent tracks for the cold
@@ -171,7 +119,7 @@ type stormSubmission struct {
 }
 
 // runStormSchedule runs one storm schedule end to end.
-func runStormSchedule(opts *Options, idx int, dir string, refs map[string][]byte, exe string) Outcome {
+func runStormSchedule(opts *Options, idx int, dir, exe string, refs map[string][]byte) Outcome {
 	src := scheduleSource(opts.Seed, idx)
 	out := Outcome{Schedule: idx, Rules: NodeScheduleRules(opts.Seed, idx, 0)}
 
@@ -206,22 +154,7 @@ func runStormSchedule(opts *Options, idx int, dir string, refs map[string][]byte
 		NodeID: "sub", Workers: 1, QueueDepth: stormQueueDepth,
 		Tenants: tcfg, Backoff: fastBackoff, Logf: opts.Logf,
 	})
-
 	nodes := src.IntRange(2, 3)
-	env := func(slot int, armed bool) []string {
-		e := append(os.Environ(),
-			EnvChild+"=1",
-			EnvDir+"="+dir,
-			EnvSeed+"="+strconv.FormatUint(opts.Seed, 10),
-			EnvIndex+"="+strconv.Itoa(idx),
-			EnvNode+"="+strconv.Itoa(slot),
-			EnvTenants+"="+tcfg.String(),
-		)
-		if armed {
-			e = append(e, EnvArmed+"=1")
-		}
-		return e
-	}
 
 	// The first submission lands before the fleet exists: an empty store is
 	// all-terminal, and a worker child that sees one exits immediately.
@@ -272,21 +205,10 @@ func runStormSchedule(opts *Options, idx int, dir string, refs map[string][]byte
 		return out
 	}
 
-	procs := make([]*nodeProc, nodes)
-	for slot := range procs {
-		p, err := startNode(exe, env(slot, true))
-		if err != nil {
-			out.Violation = fmt.Errorf("spawn node %d: %w", slot, err)
-			return out
-		}
-		procs[slot] = p
-	}
-	stopAll := func() {
-		for _, p := range procs {
-			if p != nil {
-				p.kill()
-			}
-		}
+	f, err := newFleet(opts, exe, nodes, childEnv(opts, idx, dir, EnvTenants+"="+tcfg.String()))
+	if err != nil {
+		out.Violation = err
+		return out
 	}
 
 	// The storm: seeded tenant picks, seeded gaps, a seeded minority of
@@ -298,129 +220,63 @@ func runStormSchedule(opts *Options, idx int, dir string, refs map[string][]byte
 	kills := 0
 	for k := 1; k < total; k++ {
 		time.Sleep(time.Duration(src.IntRange(5, 40)) * time.Millisecond)
-		for slot, p := range procs {
-			if p == nil || !p.exited() {
-				continue
-			}
-			if v := reapNode(slot, p); v != nil {
-				out.Violation = v
-				stopAll()
-				return out
-			}
-			p, err := startNode(exe, env(slot, true))
-			if err != nil {
-				out.Violation = fmt.Errorf("respawn node %d: %w", slot, err)
-				stopAll()
-				return out
-			}
-			procs[slot] = p
+		if out.Violation = f.reap(true); out.Violation != nil {
+			return out
 		}
 		if kills < opts.MaxRestarts && src.Bool(0.2) {
-			victim := src.Intn(nodes)
-			if p := procs[victim]; p != nil {
-				p.kill()
-			}
-			p, err := startNode(exe, env(victim, true))
-			if err != nil {
-				out.Violation = fmt.Errorf("respawn node %d: %w", victim, err)
-				stopAll()
+			if out.Violation = f.kill(src.Intn(nodes)); out.Violation != nil {
 				return out
 			}
-			procs[victim] = p
 			kills++
 			out.Restarts++
 		}
-		if err := submitOne(k, names[src.Intn(len(names))], src.Bool(0.15)); err != nil {
-			out.Violation = err
-			stopAll()
+		if out.Violation = submitOne(k, names[src.Intn(len(names))], src.Bool(0.15)); out.Violation != nil {
+			f.stop()
 			return out
 		}
 	}
-	stopAll()
 	if opts.Verbose {
 		opts.Logf("chaos: storm schedule %d: %d submissions, %d accepted, rejects %v",
 			idx, total, len(accepted), rejects)
 	}
 
 	// Heal: a faultless fleet must run every accepted job to a terminal
-	// state within the deadline.
-	heal := make([]*nodeProc, nodes)
-	for slot := range heal {
-		p, err := startNode(exe, env(slot, false))
-		if err != nil {
-			out.Violation = fmt.Errorf("heal: spawn node %d: %w", slot, err)
-			break
-		}
-		heal[slot] = p
-	}
-	for slot, p := range heal {
-		if p == nil {
-			continue
-		}
-		res := p.result(opts.ScheduleDeadline)
-		switch {
-		case res.hung:
-			out.Violation = fmt.Errorf("hang: heal node %d outlived %v\n%s", slot, opts.ScheduleDeadline, res.stderr)
-		case res.code == ChildExitInvariant:
-			out.Violation = fmt.Errorf("heal node %d reported invariant violations\n%s", slot, res.stderr)
-		case res.code != childExitOK:
-			out.Violation = fmt.Errorf("heal node %d exited %d\n%s", slot, res.code, res.stderr)
-		}
-	}
-	if out.Violation != nil {
-		for _, p := range heal {
-			if p != nil {
-				p.kill()
-			}
-		}
+	// state within the deadline. Then the one cold verifier, and the
+	// tenant-isolation assertions on the store it opened.
+	if out.Violation = f.heal(); out.Violation != nil {
 		return out
 	}
-
-	// Cold verification: first the unchanged node-mode recovery contract
-	// (exactly-once, audited tokens, byte-identical placements), then the
-	// tenant-isolation contract on top.
-	ids := make(map[string]bool, len(accepted))
-	for _, s := range accepted {
-		ids[s.id] = true
+	ids := make([]string, len(accepted))
+	for k, s := range accepted {
+		ids[k] = s.id
 	}
-	if out.Violation = verifyNodeStore(opts, dir, ids, refs, &out); out.Violation != nil {
-		return out
+	st, out.Violation = verifyCold(opts, dir, ids, false, refs, &out)
+	if out.Violation == nil {
+		out.Violation = verifyStorm(st, tcfg, accepted)
 	}
-	out.Violation = verifyStormStore(opts, dir, tcfg, accepted)
 	return out
 }
 
-// verifyStormStore checks the tenant-isolation contract on the cold store.
-func verifyStormStore(opts *Options, dir string, tcfg *jobs.TenantConfig, accepted []stormSubmission) error {
-	st, err := jobs.Open(dir, opts.Logf)
-	if err != nil {
-		return fmt.Errorf("storm verify open: %w", err)
-	}
-	byID := map[string]*jobs.Job{}
-	for _, j := range st.List() {
-		byID[j.ID] = j
-	}
+// verifyStorm checks the tenant-isolation contract on the cold store.
+// Accepted jobs missing from it were already judged by verifyCold
+// (quarantined, not lost).
+func verifyStorm(st *jobs.Store, tcfg *jobs.TenantConfig, accepted []stormSubmission) error {
 	type interval struct {
 		accept, term time.Time
 	}
 	byTenant := map[string][]interval{}
 	for _, s := range accepted {
-		j, ok := byID[s.id]
+		j, ok := st.Get(s.id)
 		if !ok {
-			return fmt.Errorf("accepted job %s (tenant %s) vanished from the store", s.id, s.tenant)
+			continue
 		}
 		if got := j.Spec.Tenant; got != s.tenant {
 			return fmt.Errorf("%s: persisted tenant %q, submitted as %q", s.id, got, s.tenant)
 		}
+		// No tenant starves: verifyCold already proved every accepted job
+		// terminal or loudly quarantined.
 		h := j.History()
 		last := h[len(h)-1]
-		// No tenant starves: every accepted job of every tenant is
-		// terminal (verifyNodeStore already proved this per job; here it is
-		// cross-checked against the parent's accept log, so a job the store
-		// lost entirely cannot slip through).
-		if !last.State.Terminal() {
-			return fmt.Errorf("%s (tenant %s): not terminal after heal", s.id, s.tenant)
-		}
 		// Deadline fail-fast: a job submitted with a lapsed absolute
 		// deadline must be failed with a journaled deadline reason — never
 		// run to success, never left to rot in its tenant's quota.

@@ -10,9 +10,10 @@ import "testing"
 // accept and re-derived cold from journals), every rejection typed with a
 // Retry-After, no tenant's accepted work lost or left non-terminal,
 // expired-deadline jobs failed fast with a journaled reason, and the
-// unchanged node-mode exactly-once/byte-identity contract. The full
+// cold verifier every mode ends with (zero-error twobs and twfsck passes,
+// exactly-once execution, byte-identical placements). The full
 // 50-schedule acceptance run is the same harness via cmd/twchaos
-// -mode storm -schedules 50 (make storm-smoke runs a bounded slice).
+// -mode storm -schedules 50 (make chaos-smoke runs a bounded slice).
 func TestChaosStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos run skipped in -short mode")

@@ -9,8 +9,9 @@
 // The algorithm is constrained left-edge with restricted doglegs
 // (Hashimoto–Stevens / Deutsch): horizontal net segments on one layer,
 // vertical pin connections on the other, a vertical constraint graph (VCG)
-// ordering nets that share a column, and dogleg splitting at internal pin
-// columns to break long chains and cycles.
+// ordering nets that share a column, dogleg splitting at internal pin
+// columns to break long chains, and unrestricted doglegs at columns with
+// room for their extra wire to break the cycles that remain.
 package detail
 
 import (
@@ -141,12 +142,18 @@ type subnet struct {
 	net    int
 	idx    int // dogleg piece index
 	lo, hi int
-	// topAt and botAt record the columns where this piece must reach the
-	// top or bottom edge (for vertical-constraint computation).
+	// topAt and botAt record the columns where this piece's net reaches
+	// the top or bottom edge through one of the piece's endpoints: the
+	// net's vertical wire there spans from that edge to the piece's track.
 	topAt, botAt map[int]bool
 }
 
 // Route routes the channel and returns the track assignment.
+//
+// The vertical constraint graph (VCG) is made acyclic before any track is
+// assigned: each cycle is broken by an unrestricted dogleg that splits one
+// of its pieces at a column where the extra vertical wire cannot touch any
+// other net's. Tracks are then filled by the constrained left-edge rule.
 func Route(p *Problem) (*Result, error) {
 	if err := validate(p); err != nil {
 		return nil, err
@@ -164,112 +171,37 @@ func Route(p *Problem) (*Result, error) {
 		}
 	}
 
-	// Vertical constraints between subnets: at a column with a top pin of
-	// subnet a and a bottom pin of subnet b (a != b), a must lie strictly
-	// above b.
-	above := map[[2]int]bool{} // (a,b): a above b
-	for i := range subs {
-		for j := range subs {
-			if i == j {
-				continue
-			}
-			for x := range subs[i].topAt {
-				if subs[j].botAt[x] {
-					above[[2]int{i, j}] = true
-				}
+	// Pin columns per edge, for placing unrestricted doglegs.
+	top, bot := map[int]bool{}, map[int]bool{}
+	for _, pin := range p.Pins {
+		if pin.Net >= 0 {
+			if pin.Top {
+				top[pin.X] = true
+			} else {
+				bot[pin.X] = true
 			}
 		}
 	}
-
-	// Left-edge with constraint-aware track filling, top track first.
-	// Tracks are numbered 0 (top) downward.
-	order := make([]int, len(subs))
-	for i := range order {
-		order[i] = i
+	// Every split uses up a column, so this terminates.
+	for cycle := findCycle(constraints(subs)); cycle != nil; cycle = findCycle(constraints(subs)) {
+		if !splitCycle(&subs, cycle, top, bot) {
+			return nil, fmt.Errorf("detail: unbreakable vertical constraint cycle")
+		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		sa, sb := subs[order[a]], subs[order[b]]
-		if sa.lo != sb.lo {
-			return sa.lo < sb.lo
+	below := constraints(subs)
+	above := make([][]int, len(subs)) // above[b]: every a that must lie above b
+	for a, bs := range below {
+		for _, b := range bs {
+			above[b] = append(above[b], a)
 		}
-		return sa.hi < sb.hi
-	})
-
-	track := make([]int, len(subs))
-	for i := range track {
-		track[i] = -1
 	}
-	// ancestorsUnplaced reports whether any subnet that must lie above s
-	// is still unplaced (then s cannot take the current track yet).
-	ancestorsUnplaced := func(s int) bool {
-		for i := range subs {
-			if above[[2]int{i, s}] && track[i] == -1 {
-				return true
-			}
-		}
-		return false
-	}
-	placedAll := 0
-	tracks := 0
-	for placedAll < len(subs) {
-		t := tracks
-		tracks++
-		if tracks > len(subs)+2 {
-			return nil, fmt.Errorf("detail: track assignment did not converge (VCG cycle?)")
-		}
-		// Fill track t left to right.
-		lastHi := -1 << 30
-		progressed := false
-		for _, si := range order {
-			if track[si] != -1 {
-				continue
-			}
-			s := &subs[si]
-			if s.lo <= lastHi {
-				continue
-			}
-			if ancestorsUnplaced(si) {
-				continue
-			}
-			// All "above" subnets already on earlier (higher) tracks?
-			ok := true
-			for i := range subs {
-				if above[[2]int{i, si}] && track[i] >= t {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			track[si] = t
-			lastHi = s.hi + 0 // segments may abut but not overlap
-			placedAll++
-			progressed = true
-		}
-		if !progressed {
-			// A cycle among the remaining subnets: break it by splitting
-			// the longest remaining subnet at a pin column if possible.
-			if !breakCycle(p, &subs, track, above) {
-				return nil, fmt.Errorf("detail: unbreakable vertical constraint cycle")
-			}
-			// Rebuild ordering for the enlarged subnet list.
-			order = order[:0]
-			for i := range subs {
-				order = append(order, i)
-			}
-			sort.Slice(order, func(a, b int) bool {
-				sa, sb := subs[order[a]], subs[order[b]]
-				if sa.lo != sb.lo {
-					return sa.lo < sb.lo
-				}
-				return sa.hi < sb.hi
-			})
-			// Extend the track array for new subnets.
-			for len(track) < len(subs) {
-				track = append(track, -1)
-			}
-			tracks-- // retry the same track
+	// Fill from the top edge down and from the bottom edge up; keep the
+	// one with fewer tracks (top-down on a tie).
+	track, tracks := leftEdge(subs, above)
+	if up, n := leftEdge(subs, below); n < tracks {
+		track, tracks = up, n
+		for i := range track {
+			track[i] = n - 1 - track[i]
 		}
 	}
 
@@ -291,6 +223,52 @@ func Route(p *Problem) (*Result, error) {
 		return a.XLo < b.XLo
 	})
 	return res, nil
+}
+
+// leftEdge assigns tracks by the constrained left-edge rule, numbering
+// them from the edge it fills first. A piece may take the current track
+// once every piece in first[piece] sits on an earlier one; pieces of one
+// net may abut.
+func leftEdge(subs []subnet, first [][]int) ([]int, int) {
+	order := make([]int, len(subs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		sa, sb := subs[order[a]], subs[order[b]]
+		if sa.lo != sb.lo {
+			return sa.lo < sb.lo
+		}
+		return sa.hi < sb.hi
+	})
+	track := make([]int, len(subs))
+	for i := range track {
+		track[i] = -1
+	}
+	tracks := 0
+	for placed := 0; placed < len(subs); tracks++ {
+		lastHi, lastNet := -1<<30, -1
+		for _, si := range order {
+			s := subs[si]
+			if track[si] != -1 || s.lo < lastHi || (s.lo == lastHi && s.net != lastNet) {
+				continue
+			}
+			ready := true
+			for _, a := range first[si] {
+				if track[a] == -1 || track[a] == tracks {
+					ready = false
+					break
+				}
+			}
+			if !ready {
+				continue
+			}
+			track[si] = tracks
+			lastHi, lastNet = s.hi, s.net
+			placed++
+		}
+	}
+	return track, tracks
 }
 
 func validate(p *Problem) error {
@@ -394,21 +372,16 @@ func buildSubnets(p *Problem) []subnet {
 				topAt: map[int]bool{},
 				botAt: map[int]bool{},
 			}
-			// Each piece owns its endpoints' vertical connections; the
-			// left endpoint belongs to the first piece touching it.
-			if k == 0 {
-				if pts[k].top {
-					s.topAt[pts[k].x] = true
+			// Both pieces meeting at a pin column carry its vertical
+			// connection: the net's vertical wire there runs from the edge
+			// through both pieces' tracks.
+			for _, pt := range pts[k : k+2] {
+				if pt.top {
+					s.topAt[pt.x] = true
 				}
-				if pts[k].bot {
-					s.botAt[pts[k].x] = true
+				if pt.bot {
+					s.botAt[pt.x] = true
 				}
-			}
-			if pts[k+1].top {
-				s.topAt[pts[k+1].x] = true
-			}
-			if pts[k+1].bot {
-				s.botAt[pts[k+1].x] = true
 			}
 			subs = append(subs, s)
 		}
@@ -416,87 +389,139 @@ func buildSubnets(p *Problem) []subnet {
 	return subs
 }
 
-// breakCycle attempts to split one of the still-unplaced subnets at an
-// interior column to break a VCG cycle; it reports whether it changed
-// anything. With restricted doglegs already applied, remaining cycles are
-// pairs of segments each having both a top and a bottom connection; we
-// split one of them mid-span (an unrestricted dogleg).
-func breakCycle(p *Problem, subs *[]subnet, track []int, above map[[2]int]bool) bool {
-	for si := range *subs {
-		if track[si] != -1 {
-			continue
-		}
-		s := (*subs)[si]
-		if s.hi-s.lo < 2 {
-			continue
-		}
-		// Does it participate in a constraint both ways?
-		inCycle := false
-		for j := range *subs {
-			if above[[2]int{si, j}] {
-				for k := range *subs {
-					if above[[2]int{k, si}] {
-						inCycle = true
-					}
+// constraints returns the VCG as adjacency lists: below[a] lists every
+// piece b that must lie strictly below a, because at some column a's net
+// reaches the top edge through a and b's net the bottom edge through b.
+// Pieces of one net never constrain each other.
+func constraints(subs []subnet) [][]int {
+	below := make([][]int, len(subs))
+	for a := range subs {
+		for b := range subs {
+			if subs[a].net == subs[b].net {
+				continue
+			}
+			for x := range subs[a].topAt {
+				if subs[b].botAt[x] {
+					below[a] = append(below[a], b)
+					break
 				}
 			}
 		}
-		if !inCycle {
-			continue
-		}
-		mid := (s.lo + s.hi) / 2
-		if mid == s.lo || mid == s.hi {
-			continue
-		}
-		left := subnet{net: s.net, idx: s.idx, lo: s.lo, hi: mid,
-			topAt: map[int]bool{}, botAt: map[int]bool{}}
-		right := subnet{net: s.net, idx: s.idx + 1000, lo: mid, hi: s.hi,
-			topAt: map[int]bool{}, botAt: map[int]bool{}}
-		for x := range s.topAt {
-			if x <= mid {
-				left.topAt[x] = true
-			} else {
-				right.topAt[x] = true
+	}
+	return below
+}
+
+// findCycle returns the pieces of one VCG cycle in edge order, or nil when
+// the graph is acyclic.
+func findCycle(below [][]int) []int {
+	state := make([]int, len(below)) // 0 new, 1 on the DFS stack, 2 done
+	var stack []int
+	var visit func(a int) []int
+	visit = func(a int) []int {
+		state[a] = 1
+		stack = append(stack, a)
+		for _, b := range below[a] {
+			switch state[b] {
+			case 1:
+				for i := len(stack) - 1; ; i-- {
+					if stack[i] == b {
+						return append([]int(nil), stack[i:]...)
+					}
+				}
+			case 0:
+				if c := visit(b); c != nil {
+					return c
+				}
 			}
 		}
-		for x := range s.botAt {
-			if x <= mid {
-				left.botAt[x] = true
-			} else {
-				right.botAt[x] = true
+		stack = stack[:len(stack)-1]
+		state[a] = 2
+		return nil
+	}
+	for a := range below {
+		if state[a] == 0 {
+			if c := visit(a); c != nil {
+				return c
 			}
 		}
-		(*subs)[si] = left
-		*subs = append(*subs, right)
-		// Recompute constraints involving the changed pieces.
-		rebuildConstraints(*subs, above)
-		return true
+	}
+	return nil
+}
+
+// splitCycle breaks a VCG cycle with an unrestricted dogleg: it splits one
+// of the cycle's pieces at an interior column, so the constraint that
+// enters the piece and the one that leaves it land on different halves.
+// The column must leave the new vertical wire room: at most one pin and no
+// earlier dogleg. Columns nearest the middle are tried first. It reports
+// whether it split anything, and marks the dogleg column used in top and
+// bot.
+func splitCycle(subs *[]subnet, cycle []int, top, bot map[int]bool) bool {
+	for k, si := range cycle {
+		s := (*subs)[si]
+		// The piece's constraint columns on the cycle: in from its
+		// predecessor (a bottom connection), out to its successor (a top
+		// connection).
+		pred, succ := (*subs)[cycle[(k+len(cycle)-1)%len(cycle)]], (*subs)[cycle[(k+1)%len(cycle)]]
+		in, out := sharedCol(pred.topAt, s.botAt), sharedCol(s.topAt, succ.botAt)
+		if in == out {
+			continue
+		}
+		lo, hi := min(in, out), max(in, out)
+		mid := (lo + hi) / 2
+		for d := 0; d <= hi-lo; d++ {
+			for _, x := range []int{mid - d, mid + d} {
+				if x <= lo || x >= hi || (top[x] && bot[x]) {
+					continue
+				}
+				left := subnet{net: s.net, idx: s.idx, lo: s.lo, hi: x, topAt: map[int]bool{}, botAt: map[int]bool{}}
+				right := subnet{net: s.net, idx: s.idx + 1000, lo: x, hi: s.hi, topAt: map[int]bool{}, botAt: map[int]bool{}}
+				for c := range s.topAt {
+					if c < x {
+						left.topAt[c] = true
+					} else {
+						right.topAt[c] = true
+					}
+				}
+				for c := range s.botAt {
+					if c < x {
+						left.botAt[c] = true
+					} else {
+						right.botAt[c] = true
+					}
+				}
+				// A pin on one edge: the dogleg's wire must clear the pin's,
+				// as if both halves reached the other edge there.
+				switch {
+				case top[x]:
+					left.botAt[x], right.botAt[x] = true, true
+				case bot[x]:
+					left.topAt[x], right.topAt[x] = true, true
+				}
+				top[x], bot[x] = true, true
+				(*subs)[si] = left
+				*subs = append(*subs, right)
+				return true
+			}
+		}
 	}
 	return false
 }
 
-// rebuildConstraints recomputes the whole VCG (cheap at channel scale).
-func rebuildConstraints(subs []subnet, above map[[2]int]bool) {
-	for k := range above {
-		delete(above, k)
-	}
-	for i := range subs {
-		for j := range subs {
-			if i == j {
-				continue
-			}
-			for x := range subs[i].topAt {
-				if subs[j].botAt[x] {
-					above[[2]int{i, j}] = true
-				}
-			}
+// sharedCol returns the smallest column in both sets (-1 if none).
+func sharedCol(a, b map[int]bool) int {
+	best := -1
+	for x := range a {
+		if b[x] && (best == -1 || x < best) {
+			best = x
 		}
 	}
+	return best
 }
 
 // Verify checks a routing result for the two correctness conditions: no two
-// segments of different nets overlap on a track, and vertical constraints
-// are respected at every pin column.
+// segments of different nets overlap on a track, and no two nets' vertical
+// wires touch in any column. Every pin must be covered by a segment of its
+// net.
 func Verify(p *Problem, r *Result) error {
 	// Horizontal overlaps.
 	byTrack := map[int][]Segment{}
@@ -515,65 +540,62 @@ func Verify(p *Problem, r *Result) error {
 			}
 		}
 	}
-	// Vertical constraints: at a column with a top pin of net a and a
-	// bottom pin of net b, a's segment touching that column must be on a
-	// smaller (higher) track than b's.
-	trackAt := func(net, x int) (int, bool) {
-		best, found := 1<<30, false
-		for _, s := range r.Segments {
-			if s.Net == net && s.XLo <= x && x <= s.XHi {
-				if s.Track < best {
-					best, found = s.Track, true
-				}
-			}
+	// Vertical wires: in each column a net's wire joins every point it
+	// must reach there — the top edge (-1) for a top pin, the bottom edge
+	// (Tracks) for a bottom pin, and the track of each of its segments that
+	// ends in the column. Two nets' wires in one column must not touch.
+	type colNet struct{ x, net int }
+	wires := map[colNet][2]int{} // lowest and highest point joined
+	join := func(x, net, t int) {
+		k := colNet{x, net}
+		w, ok := wires[k]
+		if !ok {
+			w = [2]int{t, t}
 		}
-		return best, found
+		wires[k] = [2]int{min(w[0], t), max(w[1], t)}
 	}
-	lowTrackAt := func(net, x int) (int, bool) {
-		best, found := -1, false
-		for _, s := range r.Segments {
-			if s.Net == net && s.XLo <= x && x <= s.XHi {
-				if s.Track > best {
-					best, found = s.Track, true
-				}
-			}
-		}
-		return best, found
+	for _, s := range r.Segments {
+		join(s.XLo, s.Net, s.Track)
+		join(s.XHi, s.Net, s.Track)
 	}
-	cols := map[int][2]int{}
 	for _, pin := range p.Pins {
 		if pin.Net < 0 {
 			continue
 		}
-		c := cols[pin.X]
-		if pin.Top {
-			c[0] = pin.Net + 1
-		} else {
-			c[1] = pin.Net + 1
+		// The pin's wire reaches at least its net's nearest segment over
+		// the column.
+		t, covered := 0, false
+		for _, s := range r.Segments {
+			if s.Net == pin.Net && s.XLo <= pin.X && pin.X <= s.XHi &&
+				(!covered || (pin.Top && s.Track < t) || (!pin.Top && s.Track > t)) {
+				t, covered = s.Track, true
+			}
 		}
-		cols[pin.X] = c
-	}
-	for x, c := range cols {
-		if c[0] == 0 || c[1] == 0 || c[0] == c[1] {
-			continue
-		}
-		ta, oka := trackAt(c[0]-1, x)
-		tb, okb := lowTrackAt(c[1]-1, x)
-		if !oka || !okb {
-			return fmt.Errorf("detail: pin column %d has no covering segment", x)
-		}
-		if ta >= tb {
-			return fmt.Errorf("detail: vertical conflict at column %d: net %d (track %d) not above net %d (track %d)",
-				x, c[0]-1, ta, c[1]-1, tb)
-		}
-	}
-	// Every pin covered by a segment of its net.
-	for _, pin := range p.Pins {
-		if pin.Net < 0 {
-			continue
-		}
-		if _, ok := trackAt(pin.Net, pin.X); !ok {
+		if !covered {
 			return fmt.Errorf("detail: pin (%d, net %d) not covered", pin.X, pin.Net)
+		}
+		edge := r.Tracks
+		if pin.Top {
+			edge = -1
+		}
+		join(pin.X, pin.Net, edge)
+		join(pin.X, pin.Net, t)
+	}
+	type wire struct{ net, lo, hi int }
+	byCol := map[int][]wire{}
+	for k, w := range wires {
+		if w[0] < w[1] {
+			byCol[k.x] = append(byCol[k.x], wire{k.net, w[0], w[1]})
+		}
+	}
+	for x, ws := range byCol {
+		for i := range ws {
+			for _, o := range ws[i+1:] {
+				if ws[i].lo <= o.hi && o.lo <= ws[i].hi {
+					return fmt.Errorf("detail: vertical conflict at column %d: net %d (tracks %d..%d) touches net %d (tracks %d..%d)",
+						x, ws[i].net, ws[i].lo, ws[i].hi, o.net, o.lo, o.hi)
+				}
+			}
 		}
 	}
 	return nil

@@ -191,7 +191,9 @@ func randomProblem(src *rng.Source, cols, nets int) *Problem {
 
 // TestRouteQualityQuick: the paper's premise — random channels route in
 // t ≤ d+1 tracks almost always; never accept an invalid routing and keep a
-// modest worst case.
+// modest worst case. The fixed inputs first are random channels on which
+// the router once needed density + 5 tracks: cycles were broken only once
+// a whole track made no progress, so their pieces stacked up at the bottom.
 func TestRouteQualityQuick(t *testing.T) {
 	within := 0
 	total := 0
@@ -217,6 +219,19 @@ func TestRouteQualityQuick(t *testing.T) {
 		// Hard bound: never pathological.
 		return r.Tracks <= r.Density+4
 	}
+	for _, in := range []struct {
+		seed         uint64
+		colsB, netsB uint8
+	}{
+		{0x39d092d7ca091589, 0xc3, 0xe},
+		{0x2276a0c49e3c4d0b, 0x66, 0xd},
+		{0x2532cb064810e839, 0xde, 0x86},
+		{0x6f06d197a7c65120, 0xab, 0x86},
+	} {
+		if !f(in.seed, in.colsB, in.netsB) {
+			t.Errorf("recorded input (%#x, %#x, %#x) exceeds density + 4 tracks", in.seed, in.colsB, in.netsB)
+		}
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
@@ -228,6 +243,32 @@ func TestRouteQualityQuick(t *testing.T) {
 		t.Fatalf("only %.0f%% of channels routed within d+1 tracks", frac*100)
 	}
 	t.Logf("d+1 attainment: %d/%d (%.0f%%)", within, total, frac*100)
+}
+
+// TestVerifyCatchesDoglegShort: net 0 doglegs at its bottom pin in column
+// 4, where net 1 has a top pin. Net 0's wire there runs from the bottom
+// edge up to its higher piece (track 0) and crosses net 1's wire down to
+// track 1, although net 1 is above net 0's lower piece.
+func TestVerifyCatchesDoglegShort(t *testing.T) {
+	p := &Problem{Pins: []Pin{
+		{X: 0, Net: 0, Top: true}, {X: 4, Net: 0}, {X: 8, Net: 0},
+		{X: 2, Net: 1}, {X: 4, Net: 1, Top: true},
+	}}
+	bad := &Result{Segments: []Segment{
+		{Net: 0, Track: 0, XLo: 4, XHi: 8, SubNet: 1},
+		{Net: 1, Track: 1, XLo: 2, XHi: 4},
+		{Net: 0, Track: 2, XLo: 0, XHi: 4},
+	}, Tracks: 3}
+	if err := Verify(p, bad); err == nil {
+		t.Fatal("crossing vertical wires passed verification")
+	}
+	r, err := Route(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(p, r); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestVerifyCatchesOverlap(t *testing.T) {

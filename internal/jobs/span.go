@@ -92,9 +92,9 @@ func (j *Job) guardedSpan(sp telemetry.Span) {
 }
 
 // recordSpan mirrors one freshly journaled record as a point span, called
-// from Append with the journal write already durable and the lease already
-// validated. The span carries the record's sequence number so readers can
-// join the two files exactly.
+// from Append with the journal write already durable and the lease validated
+// again after it. The span carries the record's sequence number so readers
+// can join the two files exactly.
 func (j *Job) recordSpan(rec Record) {
 	attrs := map[string]string{"seq": strconv.Itoa(rec.Seq)}
 	if rec.Detail != "" {

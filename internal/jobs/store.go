@@ -176,9 +176,13 @@ func (j *Job) AppendOpts(state State, attempt int, detail string, opts RecordOpt
 		return rec, fmt.Errorf("jobs: journal %s: %w", j.ID, err)
 	}
 	j.records = append(j.records, rec)
-	// Mirror the durable transition as a lifecycle span (best-effort; the
-	// fencing check above already authorized this node to write here).
-	j.recordSpan(rec)
+	// Mirror the durable transition as a lifecycle span (best-effort). The
+	// lease is checked again first: a reclaimer that took over during the
+	// journal write owns the span file now, and this node's late mirror
+	// would land after the reclaimer's spans as a zombie write.
+	if lease == nil || lease.Validate() == nil {
+		j.recordSpan(rec)
+	}
 	return rec, nil
 }
 

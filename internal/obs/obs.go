@@ -11,6 +11,9 @@
 //     the defect is caught while decoding the file or in the decoded records
 //   - token-regression:   a journal record carries a smaller fencing token
 //     than an earlier one — a stale node's write landed after a takeover
+//   - takeover-unjournaled: a running record directly follows a running
+//     record under a different node or token — the owner changed without
+//     the reclaimer journaling its takeover before it ran
 //   - zombie-write:       a span record (other than the deliberate "fenced"
 //     abort marker) appended under a token older than one already present
 //   - takeover-mismatch:  a claim span claims a takeover but the journal
@@ -20,7 +23,7 @@
 //   - torn-claim:         a claim file exists but its record is undecodable
 //   - torn-span-tail:     the span file ends in a torn or corrupt record
 //
-// The first six are protocol errors; the torn-* pair is expected debris on
+// The first seven are protocol errors; the torn-* pair is expected debris on
 // crash runs and is reported at warning severity. A green (fault-free) run
 // must produce zero findings of any severity.
 package obs
@@ -240,7 +243,7 @@ func classifyJournalErr(err error) string {
 
 // journalEvents converts journal records to events and checks the state
 // machine (jobs.CheckJournal rules, reported per defect rather than
-// first-error-only).
+// first-error-only) and the takeover rule.
 func journalEvents(jt *JobTimeline, recs []jobs.Record) []Event {
 	events := make([]Event, 0, len(recs))
 	prev := jobs.State("")
@@ -260,6 +263,16 @@ func journalEvents(jt *JobTimeline, recs []jobs.Record) []Event {
 		} else if !jobs.ValidTransition(prev, rec.State) {
 			jt.finding("journal-invalid", "error",
 				fmt.Sprintf("record %d: invalid transition %q → %q", i, prev, rec.State))
+		}
+		// A change of executing owner must be journaled: the reclaimer
+		// appends a takeover record (queued) before it runs. Same node and
+		// token back to back is the in-process retry whose bookkeeping
+		// append was lost — no ownership change.
+		if rec.State == jobs.StateRunning && prev == jobs.StateRunning &&
+			(rec.Node != recs[i-1].Node || rec.Token != recs[i-1].Token) {
+			jt.finding("takeover-unjournaled", "error",
+				fmt.Sprintf("record %d: running (%s token %d) directly after running (%s token %d)",
+					i, rec.Node, rec.Token, recs[i-1].Node, recs[i-1].Token))
 		}
 		if rec.Token > 0 {
 			if rec.Token < maxToken {

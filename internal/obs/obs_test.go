@@ -314,6 +314,47 @@ func TestTakeoverMismatchDetection(t *testing.T) {
 	}
 }
 
+// TestTakeoverUnjournaledDetection: a running record directly after a
+// running record of another owner means a takeover ran without its
+// journaled record; the same owner back to back is a legal retry.
+func TestTakeoverUnjournaledDetection(t *testing.T) {
+	build := func(node2 string, token2 uint64) *Report {
+		root := t.TempDir()
+		dir := mkJobDir(t, root, "j000001")
+		writeJournal(t, dir, []jobs.Record{
+			{Seq: 1, Time: at(0), State: jobs.StateQueued, Detail: "submitted"},
+			{Seq: 2, Time: at(1), State: jobs.StateRunning, Attempt: 1, Node: "n1", Token: 1},
+			{Seq: 3, Time: at(5), State: jobs.StateRunning, Attempt: 2, Node: node2, Token: token2},
+			{Seq: 4, Time: at(9), State: jobs.StateSucceeded, Attempt: 2, Node: node2, Token: token2},
+		})
+		writeClaim(t, dir, jobs.LeaseRecord{Token: 1, Node: "n1", Time: at(1), Expires: at(3)})
+		if token2 != 1 {
+			writeClaim(t, dir, jobs.LeaseRecord{Token: token2, Node: node2, Time: at(4), Expires: at(64)})
+		}
+		rep, err := Analyze([]string{root})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	for _, c := range []struct {
+		node  string
+		token uint64
+	}{{"n2", 2}, {"n1", 2}} {
+		rep := build(c.node, c.token)
+		if !hasFinding(rep, "takeover-unjournaled") {
+			t.Errorf("running n1/t1 → running %s/t%d not flagged: %+v", c.node, c.token, rep.Findings())
+		}
+		if rep.Errors != 1 {
+			t.Errorf("running n1/t1 → running %s/t%d: %d errors, want exactly the takeover finding: %+v",
+				c.node, c.token, rep.Errors, rep.Findings())
+		}
+	}
+	if rep := build("n1", 1); rep.Errors != 0 {
+		t.Fatalf("same-owner retry flagged: %+v", rep.Findings())
+	}
+}
+
 func TestJournalDefectFindings(t *testing.T) {
 	root := t.TempDir()
 
