@@ -1,6 +1,6 @@
 # Standard checks for the TimberWolfMC reproduction.
 #
-#   make verify      tier-1 checks + race detector + short fuzz smokes + bench smoke/diff + twserve smoke + obs smoke + chaos smoke + fsck smoke
+#   make verify      tier-1 checks + race detector + short fuzz smokes + bench smoke/diff + twserve smoke + obs smoke + chaos smoke + fsck smoke + resume smoke
 #   make test        unit tests only
 #   make fuzz-smoke  10-second runs of each fuzz target
 #   make bench       place + jobs + route benchmarks with -benchmem -> BENCH_PR15.json
@@ -9,6 +9,7 @@
 #   make obs-smoke   2-node fleet end to end: submit, scrape /metrics, twobs clean timeline
 #   make chaos-smoke bounded twchaos runs (fixed seeds, all five modes)
 #   make fsck-smoke        twfsck end to end against a store with seeded defects
+#   make resume-smoke      twmc SIGINT + -resume end to end, single and tempered
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -17,9 +18,9 @@ BENCHOUT ?= BENCH_PR15.json
 BENCHBASE ?= BENCH_PR15.json
 BENCHPKGS = ./internal/place ./internal/jobs ./internal/route
 
-.PHONY: verify tier1 test race fuzz-smoke bench bench-smoke bench-diff serve-smoke obs-smoke chaos-smoke fsck-smoke
+.PHONY: verify tier1 test race fuzz-smoke bench bench-smoke bench-diff serve-smoke obs-smoke chaos-smoke fsck-smoke resume-smoke
 
-verify: tier1 race fuzz-smoke bench-diff serve-smoke obs-smoke chaos-smoke fsck-smoke
+verify: tier1 race fuzz-smoke bench-diff serve-smoke obs-smoke chaos-smoke fsck-smoke resume-smoke
 
 tier1:
 	$(GO) build ./...
@@ -89,6 +90,14 @@ chaos-smoke:
 # the internal/scrub unit tests.
 fsck-smoke:
 	$(GO) test -run 'TestFsckSmoke' -count=1 -v ./cmd/twfsck
+
+# resume-smoke drives the twmc binary end to end: a checkpointed i3 run,
+# once single and once with -replicas 3, is sent SIGINT as soon as its
+# checkpoint exists (exit 3, or 0 if it finished first), then -resume'd;
+# the resumed -out placement must be byte-identical to an uninterrupted
+# run's, and the resume line must name the checkpoint's Stage 1 mode.
+resume-smoke:
+	$(GO) test -run 'TestResumeSmoke' -count=1 -v ./cmd/twmc
 
 # bench records the placement, job-store and global-router hot-path
 # benchmarks (incl. the telemetry on/off pair and the lease fencing guard)

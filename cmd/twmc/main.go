@@ -186,40 +186,30 @@ func main() {
 		CheckpointEvery: *ckEvery,
 		Tel:             tel,
 	}
-	if *nstarts > 1 {
-		fmt.Printf("stage 1: best of %d independent anneals\n", *nstarts)
-	}
-	if *replicas > 1 {
-		fmt.Printf("stage 1: parallel tempering with %d replicas\n", *replicas)
-	}
-	var res *core.Result
+	// The Stage 1 mode line comes from what runs: the flags for a fresh
+	// start, the checkpoint itself when resuming.
+	var from core.Start
 	switch {
 	case *resume != "":
-		any, cerr := place.LoadAnyCheckpoint(*resume)
+		ck, cerr := place.LoadCheckpoint(*resume)
 		if cerr != nil {
 			die(cerr)
 		}
-		opts.Starts = 1
-		if any.Temper != nil {
-			tck := any.Temper
-			fmt.Printf("resuming %s from step %d of tempering checkpoint %s (%d replicas)\n",
-				tck.Circuit, tck.Reps[0].Ctl.Step, *resume, tck.Replicas)
-			res, err = core.PlaceFromTemperCheckpoint(ctx, c, tck, opts)
-		} else {
-			ck := any.Single
-			fmt.Printf("resuming %s from step %d of checkpoint %s\n", ck.Circuit, ck.Ctl.Step, *resume)
-			res, err = core.PlaceFromCheckpoint(ctx, c, ck, opts)
-		}
+		fmt.Printf("resuming from checkpoint %s: %s\n", *resume, ck)
+		from.Checkpoint = ck
 	case *load != "":
 		f, ferr := os.Open(*load)
 		if ferr != nil {
 			die(ferr)
 		}
-		res, err = core.ResumeCtx(ctx, c, f, opts)
-		f.Close()
-	default:
-		res, err = core.PlaceCtx(ctx, c, opts)
+		defer f.Close()
+		from.Placement = f
+	case *nstarts > 1:
+		fmt.Printf("stage 1: best of %d independent anneals\n", *nstarts)
+	case *replicas > 1:
+		fmt.Printf("stage 1: parallel tempering with %d replicas\n", *replicas)
 	}
+	res, err := core.Run(ctx, c, from, opts)
 	interrupted := err != nil &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	if err != nil && !(interrupted && res != nil) {

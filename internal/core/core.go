@@ -135,42 +135,72 @@ func (r *Result) AreaChangePct() float64 {
 	return float64(r.ChipArea()-r.Stage1Area) / float64(r.Stage1Area) * 100
 }
 
-// Resume loads a placement previously saved with place.WritePlacement and
-// runs Stage 2 only (channel definition, global routing, refinement) — the
-// incremental-rework path: adjust a netlist or a saved layout, then refine
-// without repeating the full Stage 1 anneal.
-func Resume(c *netlist.Circuit, saved io.Reader, opt Options) (*Result, error) {
-	return ResumeCtx(context.Background(), c, saved, opt)
-}
-
-// ResumeCtx is Resume with cancellation (see PlaceCtx for the semantics of
-// a cancelled Stage 2).
-func ResumeCtx(ctx context.Context, c *netlist.Circuit, saved io.Reader, opt Options) (*Result, error) {
-	if err := netlist.Validate(c); err != nil {
-		return nil, err
-	}
-	// The saved file carries the core; start from a unit placeholder.
-	p := place.New(c, geom.R(0, 0, 1, 1), nil)
-	if err := place.ReadPlacement(saved, p); err != nil {
-		return nil, err
-	}
-	return handOff(ctx, p, place.Result{}, p.TEIL(), nil, opt, nil)
-}
-
-// Place runs the complete TimberWolfMC flow on the circuit.
+// Place runs the complete TimberWolfMC flow on the circuit from a fresh
+// Stage 1 anneal.
 func Place(c *netlist.Circuit, opt Options) (*Result, error) {
-	return PlaceCtx(context.Background(), c, opt)
+	return Run(context.Background(), c, Start{}, opt)
 }
 
-// PlaceCtx is Place with cancellation and checkpointing. On cancellation it
-// returns the best placement reached so far together with an error wrapping
-// ctx.Err(); when Options.CheckpointPath is set a Stage 1 interruption also
-// leaves a resumable checkpoint there (feed it to PlaceFromCheckpoint). A
-// cancelled multi-start run (Starts > 1) still selects the winner among the
-// trials that completed, reporting the cancelled trials in the error.
+// PlaceCtx is Place with cancellation and checkpointing: Run from a fresh
+// start.
 func PlaceCtx(ctx context.Context, c *netlist.Circuit, opt Options) (*Result, error) {
+	return Run(ctx, c, Start{}, opt)
+}
+
+// Start selects where Run enters the flow. The zero Start is a fresh
+// Stage 1 anneal; at most one field may be set.
+type Start struct {
+	// Checkpoint resumes an interrupted Stage 1 run of either kind (single
+	// anneal or tempering ladder) and carries it through Stage 2. The
+	// annealing parameters are replayed from the checkpoint itself,
+	// including the Stage 2 seed derivation from its Seed/Ac/Rho/MaxSteps,
+	// so the final layout is bit-identical to the uninterrupted run;
+	// Options supply only the Stage 2 shape (Iterations, M, Mu,
+	// SkipStage2), Workers, and the checkpoint-control fields of the
+	// continued run, and Starts/Replicas are ignored.
+	Checkpoint *place.AnyCheckpoint
+	// Placement is a layout saved with place.WritePlacement: Run skips
+	// Stage 1 and runs Stage 2 only (channel definition, global routing,
+	// refinement) — the incremental-rework path: adjust a netlist or a
+	// saved layout, then refine without repeating the full anneal.
+	Placement io.Reader
+}
+
+// Run carries the circuit through the TimberWolfMC flow from the given
+// start: Stage 1 (fresh, or resumed from a checkpoint) and then Stage 2,
+// or Stage 2 alone from a saved placement. On cancellation it returns the
+// best placement reached so far together with an error wrapping ctx.Err();
+// when Options.CheckpointPath is set a Stage 1 interruption also leaves a
+// resumable checkpoint there (load it with place.LoadCheckpoint and Run
+// again with Start.Checkpoint). A cancelled multi-start run (Starts > 1)
+// still selects the winner among the trials that completed, reporting the
+// cancelled trials in the error.
+func Run(ctx context.Context, c *netlist.Circuit, from Start, opt Options) (*Result, error) {
 	if err := netlist.Validate(c); err != nil {
 		return nil, err
+	}
+	switch {
+	case from.Checkpoint != nil && from.Placement != nil:
+		return nil, fmt.Errorf("core: start from a checkpoint or a saved placement, not both")
+	case from.Checkpoint != nil:
+		p, s1, err := place.Resume(ctx, c, from.Checkpoint, place.Options{
+			CheckpointPath:  opt.CheckpointPath,
+			CheckpointEvery: opt.CheckpointEvery,
+			CheckpointGuard: opt.CheckpointGuard,
+			Tel:             opt.Tel,
+		}, opt.Workers)
+		if err != nil && p == nil {
+			return nil, err
+		}
+		replay := from.Checkpoint.Options()
+		return handOff(ctx, p, s1, s1.TEIL, err, opt, &replay)
+	case from.Placement != nil:
+		// The saved file carries the core; start from a unit placeholder.
+		p := place.New(c, geom.R(0, 0, 1, 1), nil)
+		if err := place.ReadPlacement(from.Placement, p); err != nil {
+			return nil, err
+		}
+		return handOff(ctx, p, place.Result{}, p.TEIL(), nil, opt, nil)
 	}
 	if opt.CheckpointPath != "" && opt.Starts > 1 {
 		return nil, fmt.Errorf("core: checkpointing is incompatible with %d parallel starts (run a single start, or drop the checkpoint)", opt.Starts)
@@ -212,52 +242,6 @@ func PlaceCtx(ctx context.Context, c *netlist.Circuit, opt Options) (*Result, er
 	return handOff(ctx, p, s1, s1.TEIL, err, opt, nil)
 }
 
-// PlaceFromCheckpoint resumes an interrupted Stage 1 run from a checkpoint
-// and carries it through Stage 2. Annealing parameters are replayed from
-// the checkpoint itself (including the Stage 2 seed derivation, which uses
-// the checkpointed Seed/Ac/Rho/MaxSteps), so the final layout is
-// bit-identical to the uninterrupted run; opt supplies only the
-// Stage 2 shape (Iterations, M, Mu, SkipStage2) and the checkpoint-control
-// fields for the continued run.
-func PlaceFromCheckpoint(ctx context.Context, c *netlist.Circuit, ck *place.Checkpoint, opt Options) (*Result, error) {
-	if err := netlist.Validate(c); err != nil {
-		return nil, err
-	}
-	p, s1, err := place.ResumeStage1(ctx, c, ck, resumeOptions(opt))
-	if err != nil && p == nil {
-		return nil, err
-	}
-	return handOff(ctx, p, s1, s1.TEIL, err, opt, &ck.Opt)
-}
-
-// PlaceFromTemperCheckpoint resumes an interrupted parallel-tempering
-// Stage 1 run from a ladder-wide checkpoint and carries the winning replica
-// through Stage 2. As with PlaceFromCheckpoint, annealing parameters are
-// replayed from the checkpoint so the final layout is bit-identical to the
-// uninterrupted run; opt supplies the Stage 2 shape, worker bound, and
-// checkpoint-control fields for the continued run.
-func PlaceFromTemperCheckpoint(ctx context.Context, c *netlist.Circuit, tck *place.TemperCheckpoint, opt Options) (*Result, error) {
-	if err := netlist.Validate(c); err != nil {
-		return nil, err
-	}
-	p, s1, err := place.ResumeStage1Tempered(ctx, c, tck, resumeOptions(opt), opt.Workers)
-	if err != nil && p == nil {
-		return nil, err
-	}
-	return handOff(ctx, p, s1, s1.TEIL, err, opt, &tck.Opt)
-}
-
-// resumeOptions carries opt's checkpoint-control fields into a resumed
-// Stage 1 run; the annealing parameters come from the checkpoint.
-func resumeOptions(opt Options) place.Options {
-	return place.Options{
-		CheckpointPath:  opt.CheckpointPath,
-		CheckpointEvery: opt.CheckpointEvery,
-		CheckpointGuard: opt.CheckpointGuard,
-		Tel:             opt.Tel,
-	}
-}
-
 // handOff assembles the Result for p, which Stage 1 (or a saved layout)
 // left with metrics s1 and TEIL teil, and carries it through Stage 2 unless
 // Stage 1 ended with s1err — an interruption or partial failure, handed
@@ -267,7 +251,7 @@ func resumeOptions(opt Options) place.Options {
 // a resumed flow matches the uninterrupted one exactly.
 //
 // The Stage 2 seed is derived from the Stage 1 seed identically on every
-// path (fresh run, -load resume, checkpoint resume) so the downstream
+// start (fresh, saved placement, checkpoint) so the downstream
 // trajectory never depends on how Stage 1 was executed.
 func handOff(ctx context.Context, p *place.Placement, s1 place.Result, teil float64, s1err error, opt Options, replay *place.CheckpointOptions) (*Result, error) {
 	res := &Result{

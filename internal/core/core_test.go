@@ -1,8 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -125,9 +131,9 @@ func TestResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Resume with Stage 2 skipped: state restored exactly.
-	r2, err := Resume(c, strings.NewReader(sb.String()), Options{SkipStage2: true})
+	r2, err := Run(context.Background(), c, Start{Placement: strings.NewReader(sb.String())}, Options{SkipStage2: true})
 	if err != nil {
-		t.Fatalf("Resume: %v", err)
+		t.Fatalf("Run from a saved placement: %v", err)
 	}
 	// The reloaded placement has zero dynamic expansion (static mode), so
 	// compare raw geometry and TEIL rather than expanded bounds.
@@ -140,7 +146,7 @@ func TestResume(t *testing.T) {
 		}
 	}
 	// Resume with Stage 2: runs and routes.
-	r3, err := Resume(c, strings.NewReader(sb.String()), Options{Seed: 5, Ac: 10, M: 4})
+	r3, err := Run(context.Background(), c, Start{Placement: strings.NewReader(sb.String())}, Options{Seed: 5, Ac: 10, M: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +154,101 @@ func TestResume(t *testing.T) {
 		t.Fatal("resume did not route")
 	}
 	// Bad file rejected.
-	if _, err := Resume(c, strings.NewReader("placement other\n"), Options{}); err == nil {
+	if _, err := Run(context.Background(), c, Start{Placement: strings.NewReader("placement other\n")}, Options{}); err == nil {
 		t.Fatal("wrong-circuit placement accepted")
+	}
+	// A start is a checkpoint or a saved placement, never both.
+	both := Start{Checkpoint: &place.AnyCheckpoint{}, Placement: strings.NewReader(sb.String())}
+	if _, err := Run(context.Background(), c, both, Options{}); err == nil {
+		t.Fatal("Run accepted a checkpoint and a saved placement together")
+	}
+}
+
+// countdownCtx is a context whose Err() trips to Canceled after a fixed
+// number of calls, so a flow is interrupted inside Stage 1 (the anneal
+// polls only Err()). It is safe for the tempering ladder's concurrent
+// pollers.
+type countdownCtx struct {
+	context.Context
+	mu        sync.Mutex
+	remaining int
+}
+
+func (c *countdownCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.remaining--
+	if c.remaining <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunResumesCheckpoints interrupts full flows inside Stage 1, single
+// and tempered, at several worker counts, and resumes each through Run from
+// its checkpoint. The resumed Result — placement, Stage 1 metrics, Stage 2
+// routing, TEIL, and chip — must equal the uninterrupted run's. The resume
+// Options deliberately disagree with the original Seed/Ac/Rho/MaxSteps and
+// Replicas: Stage 1 and Stage 2 must take them from the checkpoint.
+func TestRunResumesCheckpoints(t *testing.T) {
+	c := testCircuit(t)
+	for _, replicas := range []int{1, 3} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("replicas%d/workers%d", replicas, workers), func(t *testing.T) {
+				opt := Options{Seed: 2, Ac: 10, Rho: 3, M: 4, MaxSteps: 8, Replicas: replicas, Workers: workers}
+				ref, err := Place(c, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				path := filepath.Join(t.TempDir(), "run.ckpt")
+				o := opt
+				o.CheckpointPath = path
+				o.CheckpointEvery = 1
+				ctx := &countdownCtx{Context: context.Background(), remaining: 7 * replicas}
+				if _, err := PlaceCtx(ctx, c, o); !errors.Is(err, context.Canceled) {
+					t.Fatalf("flow not interrupted in Stage 1 (err %v); lower the countdown", err)
+				}
+				ck, err := place.LoadCheckpoint(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Run(context.Background(), c, Start{Checkpoint: ck},
+					Options{Seed: 99, Ac: 5, Rho: 2, M: 4, MaxSteps: 3, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, ref, res)
+			})
+		}
+	}
+}
+
+// requireSameResult asserts two flows ended identically: placement bytes,
+// Stage 1 metrics, and the whole Stage 2 result.
+func requireSameResult(t *testing.T, want, got *Result) {
+	t.Helper()
+	var wb, gb strings.Builder
+	if err := place.WritePlacement(&wb, want.Placement); err != nil {
+		t.Fatal(err)
+	}
+	if err := place.WritePlacement(&gb, got.Placement); err != nil {
+		t.Fatal(err)
+	}
+	if wb.String() != gb.String() {
+		t.Fatal("placements differ")
+	}
+	if !reflect.DeepEqual(got.Stage1, want.Stage1) {
+		t.Fatalf("Stage 1 results differ:\n got %+v\nwant %+v", got.Stage1, want.Stage1)
+	}
+	if got.Stage1TEIL != want.Stage1TEIL || got.Stage1Area != want.Stage1Area {
+		t.Fatalf("Stage 1 TEIL/area %v/%v, want %v/%v", got.Stage1TEIL, got.Stage1Area, want.Stage1TEIL, want.Stage1Area)
+	}
+	if !reflect.DeepEqual(got.Stage2, want.Stage2) {
+		t.Fatal("Stage 2 results (iterations, channel graph, routing) differ")
+	}
+	if got.TEIL != want.TEIL || got.Chip != want.Chip {
+		t.Fatalf("TEIL/chip %v/%v, want %v/%v", got.TEIL, got.Chip, want.TEIL, want.Chip)
 	}
 }
 

@@ -141,7 +141,7 @@ func TestResumeTelemetry(t *testing.T) {
 		// checkpoint-instrumentation assertions below need an actual resume.
 		t.Skipf("no checkpoint written before completion: %v", err)
 	}
-	res, err := PlaceFromCheckpoint(context.Background(), testCircuit(t), ck, opt)
+	res, err := Run(context.Background(), testCircuit(t), Start{Checkpoint: ck}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -384,3 +384,45 @@ func TestStoreListOrderAndGet(t *testing.T) {
 		t.Fatal("Get of unknown id succeeded")
 	}
 }
+
+// TestCreateRacingRescanKeepsOneJob pins Store.create's publish step: a
+// fleet scan that lists a job directory the moment it is published must
+// find the job already registered, not load a second Job for the same ID.
+// A second copy is what a manager's claim loop would pick up and run,
+// while the handle Create returned stays queued until the run ends.
+func TestCreateRacingRescanKeepsOneJob(t *testing.T) {
+	st, err := Open(t.TempDir(), t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, loaded := make(chan struct{}), make(chan []string)
+	go func() {
+		var ids []string
+		for {
+			select {
+			case <-stop:
+				loaded <- ids
+				return
+			default:
+				for _, j := range st.Rescan() {
+					ids = append(ids, j.ID)
+				}
+			}
+		}
+	}()
+	// finish stops the scanner and returns the IDs it loaded; it runs on
+	// every path, so the scanning goroutine never outlives the test.
+	finish := func() []string {
+		close(stop)
+		return <-loaded
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := st.Create(Spec{Preset: "i1", Seed: uint64(i), SkipStage2: true}); err != nil {
+			finish()
+			t.Fatal(err)
+		}
+	}
+	if ids := finish(); len(ids) > 0 {
+		t.Fatalf("a rescan loaded second copies of %d job(s) this store created: %v", len(ids), ids)
+	}
+}

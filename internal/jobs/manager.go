@@ -1353,18 +1353,12 @@ func (m *Manager) attemptOnce(j *Job, out *outcome) error {
 	// GuardWrite is a no-op when the job carries no lease (single-node).
 	opts.CheckpointGuard = j.GuardWrite
 
-	var res *core.Result
-	switch ck := m.loadCheckpoint(j, c); {
-	case ck == nil:
-		res, err = core.PlaceCtx(ctx, c, opts)
-	case ck.Temper != nil:
-		m.cfg.Logf("jobs: %s resuming from tempering checkpoint step %d (%d replicas)",
-			j.ID, ck.Temper.Reps[0].Ctl.Step, ck.Temper.Replicas)
-		res, err = core.PlaceFromTemperCheckpoint(ctx, c, ck.Temper, opts)
-	default:
-		m.cfg.Logf("jobs: %s resuming from checkpoint step %d", j.ID, ck.Single.Ctl.Step)
-		res, err = core.PlaceFromCheckpoint(ctx, c, ck.Single, opts)
+	var from core.Start
+	if ck := m.loadCheckpoint(j, c); ck != nil {
+		m.cfg.Logf("jobs: %s resuming from checkpoint: %s", j.ID, ck)
+		from.Checkpoint = ck
 	}
+	res, err := core.Run(ctx, c, from, opts)
 	if fi, serr := os.Stat(j.CheckpointPath()); serr == nil {
 		m.mCkBytes.Set(float64(fi.Size()))
 	}
@@ -1506,13 +1500,9 @@ func (m *Manager) loadCheckpoint(j *Job, c *netlist.Circuit) *place.AnyCheckpoin
 	if _, err := os.Stat(path); err != nil {
 		return nil
 	}
-	ck, err := place.LoadAnyCheckpoint(path)
+	ck, err := place.LoadCheckpoint(path)
 	if err == nil {
-		if ck.Temper != nil {
-			err = ck.Temper.Validate(c)
-		} else {
-			err = ck.Single.Validate(c)
-		}
+		err = ck.Validate(c)
 	}
 	if err == nil {
 		// Chaos injection: treat a freshly loaded, valid checkpoint as

@@ -585,17 +585,23 @@ func (s *Store) create(spec Spec, seal func(*Job) error) (*Job, error) {
 		}
 	}
 	for tries := 0; ; tries++ {
+		// Publish and register under one hold of s.mu: a Rescan that lists
+		// the new directory checks it under s.mu too, so it finds the job
+		// known instead of loading a second Job for the same ID (which a
+		// fleet claim loop would then run behind this handle's back).
 		s.mu.Lock()
 		s.seq++
 		id := fmt.Sprintf("j%06d", s.seq)
-		s.mu.Unlock()
 		dir := filepath.Join(s.root, id)
 		err := os.Rename(tmp, dir)
 		if err == nil {
 			job.ID = id
 			job.dir = dir
+			s.jobs[id] = job
+			s.mu.Unlock()
 			break
 		}
+		s.mu.Unlock()
 		// EEXIST/ENOTEMPTY: a peer published that ID since our last scan;
 		// the bumped sequence tries the next one. (A published dir is never
 		// empty, so the rename cannot silently replace one.)
@@ -607,9 +613,6 @@ func (s *Store) create(spec Spec, seal func(*Job) error) (*Job, error) {
 	if err := fsio.SyncDir(s.root); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.jobs[job.ID] = job
-	s.mu.Unlock()
 	return job, nil
 }
 

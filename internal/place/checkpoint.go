@@ -19,12 +19,20 @@ import (
 	"repro/internal/rng"
 )
 
-// CheckpointVersion is the current checkpoint format version. Decoders
-// reject versions they do not understand instead of misreading them.
+// CheckpointVersion is the current single-run checkpoint format version.
+// Decoders reject versions they do not understand instead of misreading
+// them.
 const CheckpointVersion = 1
 
-// checkpointMagic is the first field of the header line.
-const checkpointMagic = "twmc-checkpoint"
+// TemperCheckpointVersion is the current tempering-checkpoint format
+// version.
+const TemperCheckpointVersion = 1
+
+// Header magics: the first field of the header line names the kind.
+const (
+	checkpointMagic       = "twmc-checkpoint"
+	temperCheckpointMagic = "twmc-temper-checkpoint"
+)
 
 // maxCheckpointPayload bounds the JSON payload a decoder will read, so a
 // corrupted or hostile header cannot make LoadCheckpoint allocate without
@@ -88,11 +96,31 @@ func (co CheckpointOptions) options() Options {
 	}
 }
 
-// Checkpoint is a complete resumable snapshot of a Stage 1 annealing run:
-// the annealing controller (temperature, counters, acceptance-draw RNG),
-// the move-generation RNG, the current and best-so-far placements, the
-// exact cost accumulators, and the run history. Restoring it replays the
-// remaining move sequence bit-for-bit (see DESIGN.md §8).
+// RunCheckpoint is the resumable state of one annealing run: the annealing
+// controller (temperature, counters, acceptance-draw RNG), the
+// move-generation RNG, the exact cost accumulators, the current and
+// best-so-far placements, and the run history. A tempering checkpoint
+// carries one per rung; a single-run Checkpoint carries the same fields
+// inline (see Checkpoint.run).
+type RunCheckpoint struct {
+	Ctl    anneal.ControllerState
+	Src    rng.State
+	Cost   CostAccum
+	States []CellState
+	// Best is the best-so-far placement (by full cost, sampled at step
+	// boundaries) and BestCost its cost; BestValid is false until the first
+	// completed step.
+	Best      []CellState
+	BestCost  float64
+	BestValid bool
+	Attempts  int64
+	History   []StepStat
+}
+
+// Checkpoint is a complete resumable snapshot of a single Stage 1 annealing
+// run. Restoring it replays the remaining move sequence bit-for-bit (see
+// DESIGN.md §8). The per-run fields are RunCheckpoint's, inline and in the
+// order the on-disk format fixes.
 type Checkpoint struct {
 	Version int
 	Circuit string
@@ -101,10 +129,8 @@ type Checkpoint struct {
 	// ST is the temperature scale factor computed at run start; it depends
 	// on the initial random placement, so it must be stored rather than
 	// recomputed from the resumed placement.
-	ST float64
-	P2 float64
-	// Ctl and Src are the annealing controller and move-generation RNG
-	// states.
+	ST  float64
+	P2  float64
 	Ctl anneal.ControllerState
 	Src rng.State
 	// InnerDone is the number of inner-loop iterations already executed in
@@ -114,77 +140,133 @@ type Checkpoint struct {
 	Attempts  int64
 	Cost      CostAccum
 	States    []CellState
-	// Best is the best-so-far placement (by full cost, sampled at step
-	// boundaries) and BestCost its cost; BestValid is false until the first
-	// completed step.
 	Best      []CellState
 	BestCost  float64
 	BestValid bool
 	History   []StepStat
 }
 
-// Validate checks a decoded checkpoint against the circuit it is about to
-// be applied to. It guards every invariant the resume path relies on, so a
-// truncated, corrupted, or mismatched checkpoint surfaces as an error
-// instead of an index panic deep in the placement kernel.
-func (ck *Checkpoint) Validate(c *netlist.Circuit) error {
-	if ck.Version != CheckpointVersion {
-		return fmt.Errorf("place: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
+// run returns the checkpoint's per-run state.
+func (ck *Checkpoint) run() *RunCheckpoint {
+	return &RunCheckpoint{
+		Ctl: ck.Ctl, Src: ck.Src, Cost: ck.Cost, States: ck.States,
+		Best: ck.Best, BestCost: ck.BestCost, BestValid: ck.BestValid,
+		Attempts: ck.Attempts, History: ck.History,
 	}
-	if ck.Circuit != c.Name {
-		return fmt.Errorf("place: checkpoint is for circuit %q, not %q", ck.Circuit, c.Name)
-	}
-	if len(ck.States) != len(c.Cells) {
-		return fmt.Errorf("place: checkpoint has %d cell states, circuit has %d cells",
-			len(ck.States), len(c.Cells))
-	}
-	if ck.BestValid && len(ck.Best) != len(c.Cells) {
-		return fmt.Errorf("place: checkpoint best placement has %d states, circuit has %d cells",
-			len(ck.Best), len(c.Cells))
-	}
-	if ck.Core.Empty() {
-		return fmt.Errorf("place: checkpoint has an empty core")
-	}
-	if ck.ST <= 0 || math.IsNaN(ck.ST) || math.IsInf(ck.ST, 0) {
-		return fmt.Errorf("place: checkpoint scale factor %v out of range", ck.ST)
-	}
-	for _, v := range []float64{ck.P2, ck.Cost.C1, ck.Cost.TEIL, ck.Cost.C3, ck.Ctl.T} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("place: checkpoint carries non-finite value %v", v)
-		}
+}
+
+// TemperCheckpoint is a complete resumable snapshot of a parallel-tempering
+// Stage 1 run: every replica's state plus the shared exchange-decision RNG
+// and exchange counters. Snapshots are taken at outer-step boundaries (after
+// the exchange pass), so resuming re-enters the lockstep loop exactly where
+// the original run would have.
+type TemperCheckpoint struct {
+	Version  int
+	Circuit  string
+	Opt      CheckpointOptions
+	Replicas int
+	Core     geom.Rect
+	// ST and P2 are shared ladder-wide (calibrated once on replica 0).
+	ST   float64
+	P2   float64
+	XSrc rng.State
+	Reps []RunCheckpoint
+
+	ExchAttempts int64
+	ExchAccepts  int64
+}
+
+// validate checks a single-run checkpoint against the circuit: the shared
+// header, the inner-iteration index, then the run.
+func (ck *Checkpoint) validate(c *netlist.Circuit) error {
+	if err := validateHeader(c, "checkpoint", ck.Version, CheckpointVersion, ck.Circuit, ck.Core, ck.ST, ck.P2); err != nil {
+		return err
 	}
 	if ck.InnerDone < -1 {
 		return fmt.Errorf("place: checkpoint inner-iteration index %d out of range", ck.InnerDone)
 	}
-	if err := validateCellStates(c, "state", ck.States); err != nil {
+	return ck.run().validate(c, "checkpoint")
+}
+
+// validate checks a tempering checkpoint against the circuit: the shared
+// header, the ladder size, then every rung as a run.
+func (ck *TemperCheckpoint) validate(c *netlist.Circuit) error {
+	if err := validateHeader(c, "tempering checkpoint", ck.Version, TemperCheckpointVersion, ck.Circuit, ck.Core, ck.ST, ck.P2); err != nil {
 		return err
 	}
-	if ck.BestValid {
-		if err := validateCellStates(c, "best", ck.Best); err != nil {
+	if ck.Replicas < 2 || ck.Replicas != len(ck.Reps) {
+		return fmt.Errorf("place: tempering checkpoint carries %d replica states for %d replicas",
+			len(ck.Reps), ck.Replicas)
+	}
+	for k := range ck.Reps {
+		if err := ck.Reps[k].validate(c, fmt.Sprintf("tempering checkpoint replica %d", k)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// validateHeader checks the fields both checkpoint kinds share.
+func validateHeader(c *netlist.Circuit, who string, version, want int, circuit string, core geom.Rect, st, p2 float64) error {
+	if version != want {
+		return fmt.Errorf("place: %s version %d, want %d", who, version, want)
+	}
+	if circuit != c.Name {
+		return fmt.Errorf("place: %s is for circuit %q, not %q", who, circuit, c.Name)
+	}
+	if core.Empty() {
+		return fmt.Errorf("place: %s has an empty core", who)
+	}
+	if st <= 0 || math.IsNaN(st) || math.IsInf(st, 0) {
+		return fmt.Errorf("place: %s scale factor %v out of range", who, st)
+	}
+	if math.IsNaN(p2) || math.IsInf(p2, 0) {
+		return fmt.Errorf("place: %s carries non-finite p2 %v", who, p2)
+	}
+	return nil
+}
+
+// validate checks one run's state against the circuit; who names the run
+// in errors.
+func (r *RunCheckpoint) validate(c *netlist.Circuit, who string) error {
+	if len(r.States) != len(c.Cells) {
+		return fmt.Errorf("place: %s has %d cell states, circuit has %d cells", who, len(r.States), len(c.Cells))
+	}
+	if r.BestValid && len(r.Best) != len(c.Cells) {
+		return fmt.Errorf("place: %s best placement has %d states, circuit has %d cells", who, len(r.Best), len(c.Cells))
+	}
+	for _, v := range []float64{r.Cost.C1, r.Cost.TEIL, r.Cost.C3, r.Ctl.T} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("place: %s carries non-finite value %v", who, v)
+		}
+	}
+	if err := validateCellStates(c, who+" state", r.States); err != nil {
+		return err
+	}
+	if r.BestValid {
+		return validateCellStates(c, who+" best", r.Best)
+	}
+	return nil
+}
+
 // validateCellStates range-checks per-cell states from a checkpoint against
 // the circuit, so corrupt snapshots surface as errors rather than panics.
-func validateCellStates(c *netlist.Circuit, kind string, states []CellState) error {
+func validateCellStates(c *netlist.Circuit, who string, states []CellState) error {
 	for i, st := range states {
 		cl := &c.Cells[i]
 		if st.Orient < 0 || st.Orient >= geom.NumOrients {
-			return fmt.Errorf("place: checkpoint %s cell %q: bad orientation %d", kind, cl.Name, st.Orient)
+			return fmt.Errorf("place: %s cell %q: bad orientation %d", who, cl.Name, st.Orient)
 		}
 		if st.Instance < 0 || st.Instance >= len(cl.Instances) {
-			return fmt.Errorf("place: checkpoint %s cell %q: no instance %d", kind, cl.Name, st.Instance)
+			return fmt.Errorf("place: %s cell %q: no instance %d", who, cl.Name, st.Instance)
 		}
 		if math.IsNaN(st.Aspect) || math.IsInf(st.Aspect, 0) || st.Aspect < 0 {
-			return fmt.Errorf("place: checkpoint %s cell %q: bad aspect %v", kind, cl.Name, st.Aspect)
+			return fmt.Errorf("place: %s cell %q: bad aspect %v", who, cl.Name, st.Aspect)
 		}
 		for u, a := range st.Units {
 			if a.Edge < 0 || a.Edge > 3 || a.Site < 0 {
-				return fmt.Errorf("place: checkpoint %s cell %q unit %d: bad assignment (%d,%d)",
-					kind, cl.Name, u, a.Edge, a.Site)
+				return fmt.Errorf("place: %s cell %q unit %d: bad assignment (%d,%d)",
+					who, cl.Name, u, a.Edge, a.Site)
 			}
 		}
 	}
@@ -203,60 +285,103 @@ func unitCountsMatch(p *Placement, states []CellState) error {
 	return nil
 }
 
-// EncodeCheckpoint writes ck to w: a single header line
-//
-//	twmc-checkpoint VERSION CRC32C PAYLOADLEN
-//
-// followed by the JSON payload. The checksum (CRC-32/Castagnoli of the
-// payload bytes) lets the decoder reject torn or bit-rotted files.
-func EncodeCheckpoint(w io.Writer, ck *Checkpoint) error {
-	return encodeFramed(w, checkpointMagic, ck.Version, ck)
+// AnyCheckpoint is a checkpoint of either kind: exactly one field is
+// non-nil. DecodeCheckpoint decides which from the header magic, and Resume
+// dispatches on it, so callers hand checkpoints around without looking.
+type AnyCheckpoint struct {
+	Single *Checkpoint
+	Temper *TemperCheckpoint
 }
 
-// encodeFramed writes the shared checkpoint framing: the header line with
-// the given magic, the format version, the payload checksum and length,
-// then the JSON payload itself.
-func encodeFramed(w io.Writer, magic string, version int, v any) error {
+// Validate checks a decoded checkpoint against the circuit it is about to
+// be applied to. It guards every invariant the resume path relies on, so a
+// truncated, corrupted, or mismatched checkpoint surfaces as an error
+// instead of an index panic deep in the placement kernel.
+func (a *AnyCheckpoint) Validate(c *netlist.Circuit) error {
+	switch {
+	case a == nil || (a.Single == nil) == (a.Temper == nil):
+		return fmt.Errorf("place: checkpoint must hold exactly one of a single-run or a tempering snapshot")
+	case a.Temper != nil:
+		return a.Temper.validate(c)
+	}
+	return a.Single.validate(c)
+}
+
+// Options returns the annealing parameters the checkpointed run was started
+// with. A resumed flow replays them, Stage 2's seed derivation included.
+func (a *AnyCheckpoint) Options() CheckpointOptions {
+	if a.Temper != nil {
+		return a.Temper.Opt
+	}
+	return a.Single.Opt
+}
+
+// String describes the checkpoint for log lines: the circuit, the
+// temperature step it was taken at, and the Stage 1 mode it resumes.
+func (a *AnyCheckpoint) String() string {
+	if t := a.Temper; t != nil {
+		step := 0
+		if len(t.Reps) > 0 {
+			step = t.Reps[0].Ctl.Step
+		}
+		return fmt.Sprintf("%s at step %d (parallel tempering, %d replicas)", t.Circuit, step, t.Replicas)
+	}
+	return fmt.Sprintf("%s at step %d (single anneal)", a.Single.Circuit, a.Single.Ctl.Step)
+}
+
+// version returns the payload's own format version.
+func (a *AnyCheckpoint) version() int {
+	if a.Temper != nil {
+		return a.Temper.Version
+	}
+	return a.Single.Version
+}
+
+// EncodeCheckpoint writes ck to w: a single header line
+//
+//	MAGIC VERSION CRC32C PAYLOADLEN
+//
+// followed by the JSON payload. MAGIC is twmc-checkpoint for a single run
+// and twmc-temper-checkpoint for a tempering ladder. The checksum
+// (CRC-32/Castagnoli of the payload bytes) lets the decoder reject torn or
+// bit-rotted files.
+func EncodeCheckpoint(w io.Writer, ck *AnyCheckpoint) error {
+	magic, v := checkpointMagic, any(ck.Single)
+	if ck.Temper != nil {
+		magic, v = temperCheckpointMagic, ck.Temper
+	}
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("place: encode checkpoint: %w", err)
 	}
 	sum := frame.Checksum(payload)
-	if _, err := fmt.Fprintf(w, "%s %d %08x %d\n", magic, version, sum, len(payload)); err != nil {
+	if _, err := fmt.Fprintf(w, "%s %d %08x %d\n", magic, ck.version(), sum, len(payload)); err != nil {
 		return err
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	return nil
+	_, err = w.Write(payload)
+	return err
 }
 
 // DecodeCheckpoint reads a checkpoint written by EncodeCheckpoint,
-// verifying the header, length, and checksum. It never panics on malformed
-// input; every defect is a descriptive error.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	payload, version, err := decodeFramed(r, checkpointMagic, CheckpointVersion)
-	if err != nil {
-		return nil, err
-	}
-	ck := &Checkpoint{}
-	if err := json.Unmarshal(payload, ck); err != nil {
-		return nil, fmt.Errorf("place: checkpoint payload: %w", err)
-	}
-	if ck.Version != version {
-		return nil, fmt.Errorf("place: checkpoint header version %d disagrees with payload version %d",
-			version, ck.Version)
-	}
-	return ck, nil
-}
-
-// decodeFramed reads and verifies the shared checkpoint framing, returning
-// the checksum-validated payload bytes and the header version.
-func decodeFramed(r io.Reader, wantMagic string, wantVersion int) ([]byte, int, error) {
+// whichever its kind, verifying the header, length, and checksum. It sniffs
+// the magic on the stream and then reads incrementally, never past the
+// header and the payload it claims, capped at maxCheckpointPayload. It
+// never panics on malformed input; every defect is a descriptive error.
+func DecodeCheckpoint(r io.Reader) (*AnyCheckpoint, error) {
 	br := bufio.NewReader(r)
+	ck := &AnyCheckpoint{}
+	wantMagic, wantVersion, v := checkpointMagic, CheckpointVersion, any(nil)
+	if head, _ := br.Peek(len(temperCheckpointMagic) + 1); string(head) == temperCheckpointMagic+" " {
+		ck.Temper = &TemperCheckpoint{}
+		wantMagic, wantVersion, v = temperCheckpointMagic, TemperCheckpointVersion, ck.Temper
+	} else {
+		ck.Single = &Checkpoint{}
+		v = ck.Single
+	}
+
 	header, err := br.ReadString('\n')
 	if err != nil {
-		return nil, 0, fmt.Errorf("place: checkpoint header: %w", err)
+		return nil, fmt.Errorf("place: checkpoint header: %w", err)
 	}
 	var (
 		magic   string
@@ -265,30 +390,37 @@ func decodeFramed(r io.Reader, wantMagic string, wantVersion int) ([]byte, int, 
 		size    int64
 	)
 	if _, err := fmt.Sscanf(header, "%s %d %x %d", &magic, &version, &sum, &size); err != nil {
-		return nil, 0, fmt.Errorf("place: malformed checkpoint header %q", header)
+		return nil, fmt.Errorf("place: malformed checkpoint header %q", header)
 	}
 	if magic != wantMagic {
-		return nil, 0, fmt.Errorf("place: not a checkpoint file (magic %q)", magic)
+		return nil, fmt.Errorf("place: not a checkpoint file (magic %q)", magic)
 	}
 	if version != wantVersion {
-		return nil, 0, fmt.Errorf("place: checkpoint version %d, want %d", version, wantVersion)
+		return nil, fmt.Errorf("place: checkpoint version %d, want %d", version, wantVersion)
 	}
 	if size < 0 || size > maxCheckpointPayload {
-		return nil, 0, fmt.Errorf("place: checkpoint payload size %d out of range", size)
+		return nil, fmt.Errorf("place: checkpoint payload size %d out of range", size)
 	}
 	// Read incrementally rather than pre-allocating the claimed size, so a
 	// forged header cannot demand a 1 GiB allocation for a tiny file.
 	payload, err := io.ReadAll(io.LimitReader(br, size))
 	if err != nil {
-		return nil, 0, fmt.Errorf("place: checkpoint payload: %w", err)
+		return nil, fmt.Errorf("place: checkpoint payload: %w", err)
 	}
 	if int64(len(payload)) != size {
-		return nil, 0, fmt.Errorf("place: checkpoint truncated: %d of %d payload bytes", len(payload), size)
+		return nil, fmt.Errorf("place: checkpoint truncated: %d of %d payload bytes", len(payload), size)
 	}
 	if got := frame.Checksum(payload); got != sum {
-		return nil, 0, fmt.Errorf("place: checkpoint checksum mismatch: header %08x, payload %08x", sum, got)
+		return nil, fmt.Errorf("place: checkpoint checksum mismatch: header %08x, payload %08x", sum, got)
 	}
-	return payload, version, nil
+	if err := json.Unmarshal(payload, v); err != nil {
+		return nil, fmt.Errorf("place: checkpoint payload: %w", err)
+	}
+	if ck.version() != version {
+		return nil, fmt.Errorf("place: checkpoint header version %d disagrees with payload version %d",
+			version, ck.version())
+	}
+	return ck, nil
 }
 
 // SaveCheckpoint writes ck to path atomically and durably via
@@ -296,7 +428,7 @@ func decodeFramed(r io.Reader, wantMagic string, wantVersion int) ([]byte, int, 
 // rename + directory fsync. A crash mid-write leaves either the previous
 // checkpoint or the new one, never a torn file. The faultinject point
 // place.checkpoint.save fails the save before any bytes move.
-func SaveCheckpoint(path string, ck *Checkpoint) error {
+func SaveCheckpoint(path string, ck *AnyCheckpoint) error {
 	if err := faultinject.Err(faultinject.PlaceCheckpointSave); err != nil {
 		return fmt.Errorf("place: save checkpoint: %w", err)
 	}
@@ -310,9 +442,10 @@ func SaveCheckpoint(path string, ck *Checkpoint) error {
 	return nil
 }
 
-// LoadCheckpoint reads and decodes the checkpoint at path. The faultinject
-// point place.checkpoint.load fails the load before the file is opened.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
+// LoadCheckpoint reads and decodes the checkpoint at path, whichever its
+// kind. The faultinject point place.checkpoint.load fails the load before
+// the file is opened.
+func LoadCheckpoint(path string) (*AnyCheckpoint, error) {
 	if err := faultinject.Err(faultinject.PlaceCheckpointLoad); err != nil {
 		return nil, fmt.Errorf("place: load checkpoint: %w", err)
 	}

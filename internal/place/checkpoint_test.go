@@ -32,20 +32,20 @@ func makeCheckpoint(t *testing.T) (*netlist.Circuit, *Checkpoint, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, ck, path
+	return c, ck.Single, path
 }
 
 func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	c, ck, _ := makeCheckpoint(t)
 	var buf bytes.Buffer
-	if err := EncodeCheckpoint(&buf, ck); err != nil {
+	if err := EncodeCheckpoint(&buf, &AnyCheckpoint{Single: ck}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeCheckpoint(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, ck) {
+	if !reflect.DeepEqual(got.Single, ck) {
 		t.Fatal("decoded checkpoint differs from encoded one")
 	}
 	if err := got.Validate(c); err != nil {
@@ -56,7 +56,7 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	_, ck, _ := makeCheckpoint(t)
 	var buf bytes.Buffer
-	if err := EncodeCheckpoint(&buf, ck); err != nil {
+	if err := EncodeCheckpoint(&buf, &AnyCheckpoint{Single: ck}); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -103,7 +103,7 @@ func TestCheckpointValidateRejectsMismatches(t *testing.T) {
 		bad.States = cloneStates(ck.States)
 		bad.Best = cloneStates(ck.Best)
 		mutate(&bad)
-		err := bad.Validate(c)
+		err := bad.validate(c)
 		if err == nil {
 			t.Fatalf("%s: Validate accepted a bad checkpoint", name)
 		}
@@ -137,7 +137,7 @@ func TestSaveCheckpointAtomicNoTempLeftovers(t *testing.T) {
 	_, ck, path := makeCheckpoint(t)
 	// Overwrite the existing checkpoint in place a few times.
 	for i := 0; i < 3; i++ {
-		if err := SaveCheckpoint(path, ck); err != nil {
+		if err := SaveCheckpoint(path, &AnyCheckpoint{Single: ck}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +154,101 @@ func TestSaveCheckpointAtomicNoTempLeftovers(t *testing.T) {
 		t.Fatalf("checkpoint unreadable after repeated saves: %v", err)
 	}
 	// Saving into a nonexistent directory must fail cleanly, not panic.
-	if err := SaveCheckpoint(filepath.Join(path, "no", "such", "dir", "x.ckpt"), ck); err == nil {
+	if err := SaveCheckpoint(filepath.Join(path, "no", "such", "dir", "x.ckpt"), &AnyCheckpoint{Single: ck}); err == nil {
 		t.Fatal("save into a nonexistent directory succeeded")
+	}
+}
+
+// TestCheckpointFormatPinned holds the on-disk format still: the files
+// under testdata/checkpoints were written by an earlier build (i3, fixed
+// seeds: a mid-step and a boundary single-run checkpoint, and a 3-replica
+// tempering checkpoint). Each must decode to its kind, re-encode byte for
+// byte, and resume to the placement and Result of the uninterrupted run.
+func TestCheckpointFormatPinned(t *testing.T) {
+	c, err := gen.Preset("i3", 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		file     string
+		opt      Options
+		replicas int
+		inner    int // Single.InnerDone; ignored for tempering
+	}{
+		{"single-midstep.ckpt", Options{Seed: 3, Ac: 8, MaxSteps: 10}, 1, 128},
+		{"single-boundary.ckpt", Options{Seed: 7, Ac: 8, MaxSteps: 10}, 1, -1},
+		{"tempered-r3.ckpt", Options{Seed: 5, Ac: 8, MaxSteps: 10}, 3, 0},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", "checkpoints", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck, err := DecodeCheckpoint(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case tc.replicas > 1 && (ck.Temper == nil || ck.Temper.Replicas != tc.replicas):
+				t.Fatalf("decoded %+v, want a %d-replica tempering checkpoint", ck, tc.replicas)
+			case tc.replicas == 1 && (ck.Single == nil || ck.Single.InnerDone != tc.inner):
+				t.Fatalf("decoded %+v, want a single-run checkpoint with InnerDone %d", ck, tc.inner)
+			}
+			var buf bytes.Buffer
+			if err := EncodeCheckpoint(&buf, ck); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), data) {
+				t.Fatal("re-encoded checkpoint differs from the pinned file")
+			}
+
+			pRef, resRef, err := RunStage1TemperedCtx(context.Background(), c, tc.opt, tc.replicas, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pRes, resRes, err := Resume(context.Background(), c, ck, Options{}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalOutcome(t, tc.file, pRef, resRef, pRes, resRes)
+		})
+	}
+}
+
+// frameReader serves one encoded checkpoint (header + payload) and fails
+// the test on any Read issued once it is all consumed: a decoder must never
+// ask for bytes past the payload the header declares.
+type frameReader struct {
+	t    *testing.T
+	data []byte
+	off  int
+}
+
+func (r *frameReader) Read(p []byte) (int, error) {
+	if r.off >= len(r.data) {
+		r.t.Fatalf("decoder read past the %d bytes of header and payload", len(r.data))
+	}
+	n := copy(p, r.data[r.off:])
+	r.off += n
+	return n, nil
+}
+
+// TestDecodeCheckpointReadsOnlyFrame decodes both kinds from a stream that
+// must not be read past the frame: the sniffing decoder peeks the magic and
+// then reads incrementally, up to the declared payload length and no
+// further (so never more than maxCheckpointPayload bytes).
+func TestDecodeCheckpointReadsOnlyFrame(t *testing.T) {
+	for _, file := range []string{"single-midstep.ckpt", "tempered-r3.ckpt"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "checkpoints", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := DecodeCheckpoint(&frameReader{t: t, data: data})
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if (ck.Temper != nil) != strings.HasPrefix(file, "tempered") {
+			t.Fatalf("%s: decoded the wrong kind: %+v", file, ck)
+		}
 	}
 }

@@ -9,10 +9,11 @@ import (
 	"repro/internal/gen"
 )
 
-// FuzzDecodeCheckpoint feeds arbitrary bytes to the checkpoint decoder: it
-// must either return a descriptive error or a checkpoint that re-encodes
-// losslessly — never panic, and never allocate based on unverified header
-// claims. Validate on the decoded value must likewise only ever error.
+// FuzzDecodeCheckpoint feeds arbitrary bytes to the one checkpoint
+// decoder, which sniffs the kind: it must either return a descriptive error
+// or a checkpoint of either kind that re-encodes losslessly — never panic,
+// and never allocate based on unverified header claims. Validate on the
+// decoded value must likewise only ever error.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	c, err := gen.Preset("i3", 11)
 	if err != nil {
@@ -24,26 +25,29 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	if _, _, err := RunStage1Ctx(context.Background(), c, opt); err != nil {
 		f.Fatal(err)
 	}
-	ck, err := LoadCheckpoint(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeCheckpoint(&buf, ck); err != nil {
-		f.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := encodedCheckpoint(f, path)
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add([]byte("twmc-checkpoint 1 00000000 2\n{}"))
 	f.Add([]byte("twmc-checkpoint 1 00000000 999999999\n"))
 	f.Add([]byte("not a checkpoint"))
 	f.Add([]byte(""))
+	// And with a genuine 3-replica tempering checkpoint.
+	if _, _, err := RunStage1TemperedCtx(context.Background(), c, opt, 3, 1); err != nil {
+		f.Fatal(err)
+	}
+	tgood := encodedCheckpoint(f, path)
+	f.Add(tgood)
+	f.Add(tgood[:len(tgood)/2])
+	f.Add([]byte("twmc-temper-checkpoint 1 00000000 2\n{}"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := DecodeCheckpoint(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if (ck.Single == nil) == (ck.Temper == nil) {
+			t.Fatalf("decoder returned %+v, want exactly one kind", ck)
 		}
 		// Validation of hostile contents must degrade to an error, not a
 		// panic; the result itself is irrelevant here.
@@ -61,4 +65,17 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatal("checkpoint changed across an encode/decode round trip")
 		}
 	})
+}
+
+// encodedCheckpoint loads the checkpoint at path and returns its encoding.
+func encodedCheckpoint(f *testing.F, path string) []byte {
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodeCheckpoint(&buf, ck); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
 }

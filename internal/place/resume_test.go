@@ -78,7 +78,7 @@ func interruptOnce(t *testing.T, c *netlist.Circuit, opt Options, errCalls int) 
 	if lerr != nil {
 		t.Fatalf("no checkpoint after interrupt: %v", lerr)
 	}
-	return ck
+	return ck.Single
 }
 
 // resumeFrom reloads a checkpoint and continues the run (optionally under
@@ -89,7 +89,7 @@ func resumeFrom(t *testing.T, ctx context.Context, c *netlist.Circuit, path stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ResumeStage1(ctx, c, ck, Options{CheckpointPath: path})
+	return Resume(ctx, c, ck, Options{CheckpointPath: path}, 0)
 }
 
 // TestInterruptResumeBitIdentical is the tentpole property: for multiple
@@ -181,13 +181,13 @@ func TestBoundaryCheckpointResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.InnerDone != -1 {
-		t.Fatalf("periodic checkpoint InnerDone = %d, want -1 (step boundary)", ck.InnerDone)
+	if ck.Single.InnerDone != -1 {
+		t.Fatalf("periodic checkpoint InnerDone = %d, want -1 (step boundary)", ck.Single.InnerDone)
 	}
-	if ck.Ctl.Step >= resRef.Steps {
-		t.Fatalf("boundary checkpoint at step %d leaves nothing to resume (run had %d steps)", ck.Ctl.Step, resRef.Steps)
+	if ck.Single.Ctl.Step >= resRef.Steps {
+		t.Fatalf("boundary checkpoint at step %d leaves nothing to resume (run had %d steps)", ck.Single.Ctl.Step, resRef.Steps)
 	}
-	pRes, resRes, err := ResumeStage1(context.Background(), c, ck, Options{})
+	pRes, resRes, err := Resume(context.Background(), c, ck, Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +223,8 @@ func TestInterruptReturnsBestSoFar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.InnerDone < 0 {
-		t.Fatalf("mid-step interrupt wrote a boundary checkpoint (InnerDone %d)", ck.InnerDone)
+	if ck.Single.InnerDone < 0 {
+		t.Fatalf("mid-step interrupt wrote a boundary checkpoint (InnerDone %d)", ck.Single.InnerDone)
 	}
 }
 
@@ -245,7 +245,7 @@ func TestResumeRejectsWrongCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ResumeStage1(context.Background(), other, ck, Options{}); err == nil {
+	if _, _, err := Resume(context.Background(), other, ck, Options{}, 0); err == nil {
 		t.Fatal("resume accepted a checkpoint for a different circuit")
 	}
 }

@@ -78,6 +78,14 @@ type Options struct {
 	Label string
 }
 
+// runLabel is the run's trace label: Label, or "stage1" when unset.
+func (o *Options) runLabel() string {
+	if o.Label == "" {
+		return "stage1"
+	}
+	return o.Label
+}
+
 func (o *Options) fill() {
 	if o.Ac <= 0 {
 		o.Ac = anneal.DefaultAc
@@ -264,8 +272,8 @@ type stage1 struct {
 }
 
 // stage1Config builds the annealing controller configuration; RunStage1Ctx
-// and ResumeStage1 share it so a resumed controller is parameterized
-// identically to the original.
+// and Resume share it so a resumed controller is parameterized identically
+// to the original.
 func stage1Config(opt Options, st float64, core geom.Rect, numCells int) anneal.Config {
 	return anneal.Config{
 		ST:              st,
@@ -285,10 +293,7 @@ func stage1Config(opt Options, st float64, core geom.Rect, numCells int) anneal.
 // does no lookups and no allocation.
 func (s *stage1) initTelemetry() {
 	s.tel = s.opt.Tel
-	s.runLabel = s.opt.Label
-	if s.runLabel == "" {
-		s.runLabel = "stage1"
-	}
+	s.runLabel = s.opt.runLabel()
 	if s.tel == nil {
 		return
 	}
@@ -326,8 +331,8 @@ func RunStage1(c *netlist.Circuit, opt Options) (*Placement, Result) {
 // cancellation the run stops at the next stride boundary, writes a
 // resumable checkpoint (when Options.CheckpointPath is set), applies the
 // best-so-far placement to the returned Placement, and returns an error
-// wrapping ctx.Err(). Feed the checkpoint to ResumeStage1 to continue the
-// run: the resumed trajectory is bit-identical to the uninterrupted one.
+// wrapping ctx.Err(). Feed the checkpoint to Resume to continue the run:
+// the resumed trajectory is bit-identical to the uninterrupted one.
 func RunStage1Ctx(ctx context.Context, c *netlist.Circuit, opt Options) (*Placement, Result, error) {
 	opt.fill()
 	core := stage1CoreRegion(c, opt)
@@ -336,15 +341,7 @@ func RunStage1Ctx(ctx context.Context, c *netlist.Circuit, opt Options) (*Placem
 	src := rng.New(opt.Seed)
 	Randomize(p, src)
 	p.P2 = CalibrateP2(p, opt.Eta, src, 20)
-
-	// Temperature scale: average cell area including estimated
-	// interconnect (§3.3).
-	var expArea int64
-	for i := range c.Cells {
-		expArea += p.Tiles(i).Area()
-	}
-	st := anneal.ScaleFactor(float64(expArea) / float64(max(1, len(c.Cells))))
-
+	st := scaleFactor(p)
 	ctl := anneal.NewController(stage1Config(opt, st, core, len(c.Cells)), src.Split())
 
 	s := &stage1{
@@ -358,6 +355,16 @@ func RunStage1Ctx(ctx context.Context, c *netlist.Circuit, opt Options) (*Placem
 	})
 	res, err := s.run(ctx)
 	return p, res, err
+}
+
+// scaleFactor is the temperature scale S_T of a run starting from p: the
+// average cell area including estimated interconnect (§3.3).
+func scaleFactor(p *Placement) float64 {
+	var expArea int64
+	for i := range p.Circuit.Cells {
+		expArea += p.Tiles(i).Area()
+	}
+	return anneal.ScaleFactor(float64(expArea) / float64(max(1, len(p.Circuit.Cells))))
 }
 
 // stage1CoreRegion computes the target core region for a run: the
@@ -382,78 +389,94 @@ func stage1CoreRegion(c *netlist.Circuit, opt Options) geom.Rect {
 	return core
 }
 
-// ResumeStage1 continues a checkpointed Stage 1 run on the same circuit.
-// All annealing parameters come from the checkpoint, so the resumed run
-// replays the original configuration exactly; opt supplies only the
-// checkpoint-control fields (CheckpointPath, CheckpointEvery) for the
-// continued run. The final placement, cost, and Result are bit-identical to
-// the run the checkpoint was taken from had it never been interrupted —
-// across any number of interrupt/resume cycles.
-func ResumeStage1(ctx context.Context, c *netlist.Circuit, ck *Checkpoint, opt Options) (*Placement, Result, error) {
-	if ck == nil {
-		return nil, Result{}, fmt.Errorf("place: resume: nil checkpoint")
-	}
+// Resume continues a checkpointed Stage 1 run of either kind on the same
+// circuit: a single anneal (from a step boundary or mid-step) or a
+// parallel-tempering ladder. All annealing parameters come from the
+// checkpoint, so the resumed run replays the original configuration
+// exactly; opt supplies only the checkpoint-control fields
+// (CheckpointPath, CheckpointEvery, CheckpointGuard), telemetry, and label
+// for the continued run, and workers bounds a ladder's goroutines. The
+// final placement, cost, and Result are bit-identical to the run the
+// checkpoint was taken from had it never been interrupted — across any
+// number of interrupt/resume cycles, at any worker count.
+func Resume(ctx context.Context, c *netlist.Circuit, ck *AnyCheckpoint, opt Options, workers int) (*Placement, Result, error) {
 	if err := ck.Validate(c); err != nil {
 		return nil, Result{}, err
 	}
-	o := ck.Opt.options()
+	o := ck.Options().options()
 	o.CheckpointPath = opt.CheckpointPath
 	o.CheckpointEvery = opt.CheckpointEvery
 	o.CheckpointGuard = opt.CheckpointGuard
 	o.Tel = opt.Tel
 	o.Label = opt.Label
 	o.fill()
-
-	core := ck.Core
-	est := estimate.New(c, core, o.Params)
-	p := New(c, core, est)
-	if err := unitCountsMatch(p, ck.States); err != nil {
+	if ck.Temper != nil {
+		return resumeLadder(ctx, c, ck.Temper, o, workers)
+	}
+	sck := ck.Single
+	s, err := restoreRun(c, sck.Core, sck.P2, stage1Config(o, sck.ST, sck.Core, len(c.Cells)), o, sck.run(), sck.InnerDone)
+	if err != nil {
 		return nil, Result{}, err
 	}
-	if ck.BestValid {
-		if err := unitCountsMatch(p, ck.Best); err != nil {
-			return nil, Result{}, err
+	res, err := s.run(ctx)
+	return s.p, res, err
+}
+
+// restoreRun rebuilds a ready-to-run stage1 from one run's saved state r:
+// a placement on core with r's cell states, its exact cost accumulators and
+// the shared p2, the move RNG, a controller parameterized by cfg and then
+// restored, the best-so-far, and the history. inner is the resume-inner
+// index (-1 at a step boundary). Telemetry resolves under opt and records
+// the resume. Resume uses it once for a single run, the ladder once per
+// rung.
+func restoreRun(c *netlist.Circuit, core geom.Rect, p2 float64, cfg anneal.Config, opt Options, r *RunCheckpoint, inner int) (*stage1, error) {
+	p := New(c, core, estimate.New(c, core, opt.Params))
+	if err := unitCountsMatch(p, r.States); err != nil {
+		return nil, err
+	}
+	if r.BestValid {
+		if err := unitCountsMatch(p, r.Best); err != nil {
+			return nil, err
 		}
 	}
-	for i := range ck.States {
-		p.SetState(i, cloneState(ck.States[i]))
+	for i := range r.States {
+		p.SetState(i, cloneState(r.States[i]))
 	}
 	// Restore the exact cost accumulators: the incremental float sums
 	// depend on the whole move history, and the per-move deltas that drive
 	// Metropolis acceptance are computed from them.
-	p.c1, p.teil, p.c2, p.c3 = ck.Cost.C1, ck.Cost.TEIL, ck.Cost.C2, ck.Cost.C3
-	p.P2 = ck.P2
+	p.c1, p.teil, p.c2, p.c3 = r.Cost.C1, r.Cost.TEIL, r.Cost.C2, r.Cost.C3
+	p.P2 = p2
 
 	src := rng.New(0)
-	src.Restore(ck.Src)
-	ctl := anneal.NewController(stage1Config(o, ck.ST, core, len(c.Cells)), rng.New(0))
-	ctl.Restore(ck.Ctl)
+	src.Restore(r.Src)
+	ctl := anneal.NewController(cfg, rng.New(0))
+	ctl.Restore(r.Ctl)
 
 	s := &stage1{
-		p: p, ctl: ctl, src: src, opt: o, st: ck.ST,
+		p: p, ctl: ctl, src: src, opt: opt, st: cfg.ST,
 		movable:     p.MovableCells(),
-		attempts:    ck.Attempts,
-		history:     append([]StepStat(nil), ck.History...),
-		bestCost:    ck.BestCost,
-		bestValid:   ck.BestValid,
-		resumeInner: ck.InnerDone,
+		attempts:    r.Attempts,
+		history:     append([]StepStat(nil), r.History...),
+		bestCost:    r.BestCost,
+		bestValid:   r.BestValid,
+		resumeInner: inner,
 	}
-	if ck.BestValid {
-		s.best = cloneStates(ck.Best)
+	if r.BestValid {
+		s.best = cloneStates(r.Best)
 	}
 	s.initTelemetry()
 	if s.tel != nil {
 		s.tel.Registry().Counter(s.runLabel + ".checkpoint.resumes").Inc()
 		s.tel.Emit(telemetry.Event{
 			Type: telemetry.TypeResume, Run: s.runLabel, Label: c.Name,
-			Step: ctl.Step(), Inner: ck.InnerDone, Attempts: ck.Attempts,
+			Step: ctl.Step(), Inner: inner, Attempts: r.Attempts,
 			Cost: p.Cost(), T: ctl.T(),
 		})
 		s.tel.Progressf("%s: resumed at step %d (inner %d, %d attempts)",
-			s.runLabel, ctl.Step(), ck.InnerDone, ck.Attempts)
+			s.runLabel, ctl.Step(), inner, r.Attempts)
 	}
-	res, err := s.run(ctx)
-	return p, res, err
+	return s, nil
 }
 
 func cloneState(st CellState) CellState {
@@ -511,10 +534,7 @@ func RunStage1N(ctx context.Context, c *netlist.Circuit, opt Options, nstarts, w
 		p   *Placement
 		res Result
 	}
-	baseLabel := opt.Label
-	if baseLabel == "" {
-		baseLabel = "stage1"
-	}
+	baseLabel := opt.runLabel()
 	trials, tes := par.MapRetry(ctx, workers, nstarts, par.DefaultRetries, func(k int) (trial, error) {
 		o := opt
 		o.Seed = seeds[k]
@@ -687,52 +707,64 @@ func (s *stage1) snapshotStates() []CellState {
 	return out
 }
 
-// buildCheckpoint assembles a resumable snapshot; innerDone is the number
-// of inner iterations completed in the current step, or -1 at a boundary.
-func (s *stage1) buildCheckpoint(innerDone int) *Checkpoint {
-	return &Checkpoint{
-		Version:   CheckpointVersion,
-		Circuit:   s.p.Circuit.Name,
-		Opt:       snapshotOptions(s.opt),
-		Core:      s.p.Core,
-		ST:        s.st,
-		P2:        s.p.P2,
+// snapshot captures the run's resumable state. Best and History are
+// shared, not copied: endStep replaces best rather than mutating it, and
+// the capped history slice keeps later appends out of the snapshot.
+func (s *stage1) snapshot() RunCheckpoint {
+	return RunCheckpoint{
 		Ctl:       s.ctl.State(),
 		Src:       s.src.State(),
-		InnerDone: innerDone,
-		Attempts:  s.attempts,
 		Cost:      CostAccum{C1: s.p.c1, TEIL: s.p.teil, C2: s.p.c2, C3: s.p.c3},
 		States:    s.snapshotStates(),
 		Best:      s.best,
 		BestCost:  s.bestCost,
 		BestValid: s.bestValid,
-		History:   s.history,
+		Attempts:  s.attempts,
+		History:   s.history[:len(s.history):len(s.history)],
 	}
 }
 
+// saveCheckpoint writes the run's snapshot; innerDone is the number of
+// inner iterations completed in the current step, or -1 at a boundary.
 func (s *stage1) saveCheckpoint(innerDone int) error {
-	if g := s.opt.CheckpointGuard; g != nil {
+	r := s.snapshot()
+	ck := &Checkpoint{
+		Version: CheckpointVersion, Circuit: s.p.Circuit.Name, Opt: snapshotOptions(s.opt),
+		Core: s.p.Core, ST: s.st, P2: s.p.P2,
+		Ctl: r.Ctl, Src: r.Src, InnerDone: innerDone, Attempts: r.Attempts, Cost: r.Cost,
+		States: r.States, Best: r.Best, BestCost: r.BestCost, BestValid: r.BestValid, History: r.History,
+	}
+	return writeCheckpoint(&s.opt, s.runLabel, &AnyCheckpoint{Single: ck}, s.ctl.Step(), innerDone)
+}
+
+// writeCheckpoint is every checkpoint write, single-run and ladder alike:
+// the guard, the atomic save to opt.CheckpointPath, then run's
+// checkpoint.* metrics and trace event. step and inner locate the snapshot
+// (inner is -1 at a step boundary).
+func writeCheckpoint(opt *Options, run string, ck *AnyCheckpoint, step, inner int) error {
+	if g := opt.CheckpointGuard; g != nil {
 		if err := g(); err != nil {
 			return err
 		}
 	}
 	start := time.Now()
-	err := SaveCheckpoint(s.opt.CheckpointPath, s.buildCheckpoint(innerDone))
-	if err != nil || s.tel == nil {
+	err := SaveCheckpoint(opt.CheckpointPath, ck)
+	tel := opt.Tel
+	if err != nil || tel == nil {
 		return err
 	}
 	durMS := float64(time.Since(start)) / float64(time.Millisecond)
 	var size int64
-	if fi, serr := os.Stat(s.opt.CheckpointPath); serr == nil {
+	if fi, serr := os.Stat(opt.CheckpointPath); serr == nil {
 		size = fi.Size()
 	}
-	reg := s.tel.Registry()
-	reg.Counter(s.runLabel + ".checkpoint.writes").Inc()
-	reg.Counter(s.runLabel + ".checkpoint.bytes").Add(size)
-	reg.Gauge(s.runLabel + ".checkpoint.last_ms").Set(durMS)
-	s.tel.Emit(telemetry.Event{
-		Type: telemetry.TypeCheckpoint, Run: s.runLabel,
-		Step: s.ctl.Step(), Inner: innerDone, Bytes: size, DurMS: durMS,
+	reg := tel.Registry()
+	reg.Counter(run + ".checkpoint.writes").Inc()
+	reg.Counter(run + ".checkpoint.bytes").Add(size)
+	reg.Gauge(run + ".checkpoint.last_ms").Set(durMS)
+	tel.Emit(telemetry.Event{
+		Type: telemetry.TypeCheckpoint, Run: run,
+		Step: step, Inner: inner, Bytes: size, DurMS: durMS,
 	})
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/anneal"
 	"repro/internal/estimate"
+	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -52,24 +53,15 @@ func RunStage1Tempered(c *netlist.Circuit, opt Options, replicas, workers int) (
 // Checkpointing: with opt.CheckpointPath set, a TemperCheckpoint snapshot
 // of all replicas is written at step boundaries (every CheckpointEvery
 // steps, and on cancellation the last boundary is written, so resume re-runs
-// the interrupted step). Feed it to ResumeStage1Tempered; the resumed
-// trajectory is bit-identical to the uninterrupted one.
+// the interrupted step). Feed it to Resume; the resumed trajectory is
+// bit-identical to the uninterrupted one.
 func RunStage1TemperedCtx(ctx context.Context, c *netlist.Circuit, opt Options, replicas, workers int) (*Placement, Result, error) {
 	if replicas <= 1 {
 		return RunStage1Ctx(ctx, c, opt)
 	}
 	opt.fill()
 	core := stage1CoreRegion(c, opt)
-	baseLabel := opt.Label
-	if baseLabel == "" {
-		baseLabel = "stage1"
-	}
-
-	// Per-replica move streams plus one exchange stream, all fanned out of
-	// the run seed. Replica 0 keeps opt.Seed itself, mirroring RunStage1N's
-	// trial-0 convention.
-	seeds := rng.New(opt.Seed).SplitSeeds(replicas + 1)
-	seeds[0] = opt.Seed
+	seeds := ladderSeeds(opt.Seed, replicas)
 	xsrc := rng.New(seeds[replicas])
 
 	reps := make([]*stage1, replicas)
@@ -86,138 +78,76 @@ func RunStage1TemperedCtx(ctx context.Context, c *netlist.Circuit, opt Options, 
 	// One cost function for the whole ladder: p2 and S_T from replica 0.
 	p0 := reps[0].p
 	p0.P2 = CalibrateP2(p0, opt.Eta, reps[0].src, 20)
-	var expArea int64
-	for i := range c.Cells {
-		expArea += p0.Tiles(i).Area()
-	}
-	st := anneal.ScaleFactor(float64(expArea) / float64(max(1, len(c.Cells))))
+	st := scaleFactor(p0)
 
 	for k, s := range reps {
 		s.p.P2 = p0.P2
-		cfg := stage1Config(opt, st, core, len(c.Cells))
-		if k > 0 {
-			cfg.TInf = anneal.StartTemp(st) * math.Pow(TemperGamma, float64(k))
-		}
-		s.ctl = anneal.NewController(cfg, s.src.Split())
-		o := opt
-		o.Seed = seeds[k]
-		o.CheckpointPath = "" // checkpoints are ladder-wide, not per replica
-		o.Label = fmt.Sprintf("%s.r%d", baseLabel, k)
-		s.opt = o
+		s.ctl = anneal.NewController(rungConfig(opt, st, core, len(c.Cells), k), s.src.Split())
+		s.opt = rungOptions(opt, seeds, k)
 		s.st = st
 		s.movable = s.p.MovableCells()
 		s.initTelemetry()
 		s.tel.Emit(telemetry.Event{
 			Type: telemetry.TypeRunStart, Run: s.runLabel, Label: c.Name,
-			Cells: len(c.Cells), Seed: o.Seed, Cost: s.p.Cost(), T: s.ctl.T(),
+			Cells: len(c.Cells), Seed: s.opt.Seed, Cost: s.p.Cost(), T: s.ctl.T(),
 		})
 	}
-
-	t := &temperRun{
-		c: c, reps: reps, xsrc: xsrc, opt: opt,
-		workers: workers, label: baseLabel, tel: opt.Tel,
-		errs: make([]error, replicas),
-	}
-	return t.run(ctx)
+	return newTemperRun(c, reps, xsrc, opt, workers).run(ctx)
 }
 
-// ResumeStage1Tempered continues a checkpointed parallel-tempering run. As
-// with ResumeStage1, every annealing parameter comes from the checkpoint;
-// opt supplies only the checkpoint-control fields, telemetry, and label.
-// The resumed trajectory — including all exchange decisions — is
-// bit-identical to the run the checkpoint was taken from had it never been
-// interrupted, at any worker count.
-func ResumeStage1Tempered(ctx context.Context, c *netlist.Circuit, tck *TemperCheckpoint, opt Options, workers int) (*Placement, Result, error) {
-	if tck == nil {
-		return nil, Result{}, fmt.Errorf("place: resume: nil tempering checkpoint")
-	}
-	if err := tck.Validate(c); err != nil {
-		return nil, Result{}, err
-	}
-	o := tck.Opt.options()
-	o.CheckpointPath = opt.CheckpointPath
-	o.CheckpointEvery = opt.CheckpointEvery
-	o.CheckpointGuard = opt.CheckpointGuard
-	o.Tel = opt.Tel
-	o.Label = opt.Label
-	o.fill()
-	baseLabel := o.Label
-	if baseLabel == "" {
-		baseLabel = "stage1"
-	}
-	core := tck.Core
-	seeds := rng.New(o.Seed).SplitSeeds(tck.Replicas + 1)
-	seeds[0] = o.Seed
-
+// resumeLadder continues a tempering checkpoint: every rung through
+// restoreRun, then the exchange stream and counters, re-entering the
+// lockstep loop at the step the snapshot closed. o holds the replayed,
+// filled options of the ladder.
+func resumeLadder(ctx context.Context, c *netlist.Circuit, tck *TemperCheckpoint, o Options, workers int) (*Placement, Result, error) {
+	seeds := ladderSeeds(o.Seed, tck.Replicas)
 	reps := make([]*stage1, tck.Replicas)
 	for k := range reps {
-		rck := &tck.Reps[k]
-		est := estimate.New(c, core, o.Params)
-		p := New(c, core, est)
-		if err := unitCountsMatch(p, rck.States); err != nil {
+		s, err := restoreRun(c, tck.Core, tck.P2, rungConfig(o, tck.ST, tck.Core, len(c.Cells), k),
+			rungOptions(o, seeds, k), &tck.Reps[k], -1)
+		if err != nil {
 			return nil, Result{}, err
-		}
-		if rck.BestValid {
-			if err := unitCountsMatch(p, rck.Best); err != nil {
-				return nil, Result{}, err
-			}
-		}
-		for i := range rck.States {
-			p.SetState(i, cloneState(rck.States[i]))
-		}
-		p.c1, p.teil, p.c2, p.c3 = rck.Cost.C1, rck.Cost.TEIL, rck.Cost.C2, rck.Cost.C3
-		p.P2 = tck.P2
-
-		src := rng.New(0)
-		src.Restore(rck.Src)
-		cfg := stage1Config(o, tck.ST, core, len(c.Cells))
-		if k > 0 {
-			cfg.TInf = anneal.StartTemp(tck.ST) * math.Pow(TemperGamma, float64(k))
-		}
-		ctl := anneal.NewController(cfg, rng.New(0))
-		ctl.Restore(rck.Ctl)
-
-		ro := o
-		ro.Seed = seeds[k]
-		ro.CheckpointPath = ""
-		ro.Label = fmt.Sprintf("%s.r%d", baseLabel, k)
-		s := &stage1{
-			p: p, ctl: ctl, src: src, opt: ro, st: tck.ST,
-			movable:     p.MovableCells(),
-			attempts:    rck.Attempts,
-			history:     append([]StepStat(nil), rck.History...),
-			bestCost:    rck.BestCost,
-			bestValid:   rck.BestValid,
-			resumeInner: -1,
-		}
-		if rck.BestValid {
-			s.best = cloneStates(rck.Best)
-		}
-		s.initTelemetry()
-		if s.tel != nil {
-			s.tel.Registry().Counter(s.runLabel + ".checkpoint.resumes").Inc()
-			s.tel.Emit(telemetry.Event{
-				Type: telemetry.TypeResume, Run: s.runLabel, Label: c.Name,
-				Step: ctl.Step(), Attempts: rck.Attempts,
-				Cost: p.Cost(), T: ctl.T(),
-			})
 		}
 		reps[k] = s
 	}
 	xsrc := rng.New(0)
 	xsrc.Restore(tck.XSrc)
-
-	t := &temperRun{
-		c: c, reps: reps, xsrc: xsrc, opt: o,
-		workers: workers, label: baseLabel, tel: o.Tel,
-		xAttempts: tck.ExchAttempts, xAccepts: tck.ExchAccepts,
-		errs: make([]error, tck.Replicas),
-	}
+	t := newTemperRun(c, reps, xsrc, o, workers)
+	t.xAttempts, t.xAccepts = tck.ExchAttempts, tck.ExchAccepts
 	if t.tel != nil {
 		t.tel.Progressf("%s: tempering resumed at step %d (%d replicas)",
-			baseLabel, reps[0].ctl.Step(), len(reps))
+			t.label, reps[0].ctl.Step(), len(reps))
 	}
 	return t.run(ctx)
+}
+
+// ladderSeeds fans the per-replica move streams plus one exchange stream
+// (the last) out of the run seed. Replica 0 keeps seed itself, mirroring
+// RunStage1N's trial-0 convention.
+func ladderSeeds(seed uint64, replicas int) []uint64 {
+	seeds := rng.New(seed).SplitSeeds(replicas + 1)
+	seeds[0] = seed
+	return seeds
+}
+
+// rungConfig is rung k's controller configuration: the Stage 1 schedule,
+// with T_∞ raised by γ^k above the base rung's.
+func rungConfig(opt Options, st float64, core geom.Rect, numCells, k int) anneal.Config {
+	cfg := stage1Config(opt, st, core, numCells)
+	if k > 0 {
+		cfg.TInf = anneal.StartTemp(st) * math.Pow(TemperGamma, float64(k))
+	}
+	return cfg
+}
+
+// rungOptions is rung k's run options: its own seed and trace label, and no
+// checkpoint path, because checkpoints are ladder-wide, not per replica.
+func rungOptions(opt Options, seeds []uint64, k int) Options {
+	o := opt
+	o.Seed = seeds[k]
+	o.CheckpointPath = ""
+	o.Label = fmt.Sprintf("%s.r%d", opt.runLabel(), k)
+	return o
 }
 
 // temperRun drives the coupled replica ladder: lockstep temperature steps,
@@ -238,6 +168,14 @@ type temperRun struct {
 	// state), written out on cancellation so the interrupted step re-runs
 	// on resume. Captured only when checkpointing is enabled.
 	boundary *TemperCheckpoint
+}
+
+func newTemperRun(c *netlist.Circuit, reps []*stage1, xsrc *rng.Source, opt Options, workers int) *temperRun {
+	return &temperRun{
+		c: c, reps: reps, xsrc: xsrc, opt: opt,
+		workers: workers, label: opt.runLabel(), tel: opt.Tel,
+		errs: make([]error, len(reps)),
+	}
 }
 
 func (t *temperRun) run(ctx context.Context) (*Placement, Result, error) {
@@ -324,19 +262,9 @@ func (t *temperRun) exchange() {
 
 // buildCheckpoint snapshots the whole ladder at a step boundary.
 func (t *temperRun) buildCheckpoint() *TemperCheckpoint {
-	reps := make([]ReplicaCheckpoint, len(t.reps))
+	reps := make([]RunCheckpoint, len(t.reps))
 	for k, s := range t.reps {
-		reps[k] = ReplicaCheckpoint{
-			Ctl:       s.ctl.State(),
-			Src:       s.src.State(),
-			Cost:      CostAccum{C1: s.p.c1, TEIL: s.p.teil, C2: s.p.c2, C3: s.p.c3},
-			States:    s.snapshotStates(),
-			Best:      s.best,
-			BestCost:  s.bestCost,
-			BestValid: s.bestValid,
-			Attempts:  s.attempts,
-			History:   s.history[:len(s.history):len(s.history)],
-		}
+		reps[k] = s.snapshot()
 	}
 	return &TemperCheckpoint{
 		Version:      TemperCheckpointVersion,
@@ -353,23 +281,9 @@ func (t *temperRun) buildCheckpoint() *TemperCheckpoint {
 	}
 }
 
+// saveBoundary writes the last boundary snapshot.
 func (t *temperRun) saveBoundary() error {
-	if g := t.opt.CheckpointGuard; g != nil {
-		if err := g(); err != nil {
-			return err
-		}
-	}
-	if err := SaveTemperCheckpoint(t.opt.CheckpointPath, t.boundary); err != nil {
-		return err
-	}
-	if t.tel != nil {
-		t.tel.Registry().Counter(t.label + ".checkpoint.writes").Inc()
-		t.tel.Emit(telemetry.Event{
-			Type: telemetry.TypeCheckpoint, Run: t.label,
-			Step: t.reps[0].ctl.Step(),
-		})
-	}
-	return nil
+	return writeCheckpoint(&t.opt, t.label, &AnyCheckpoint{Temper: t.boundary}, t.boundary.Reps[0].Ctl.Step, -1)
 }
 
 // finish closes out every replica (applying its best-so-far on
@@ -378,15 +292,8 @@ func (t *temperRun) saveBoundary() error {
 // the last boundary snapshot is written first, so the run resumes from the
 // start of the interrupted step.
 func (t *temperRun) finish(err error) (*Placement, Result, error) {
-	if err != nil && t.opt.CheckpointPath != "" && t.boundary != nil {
-		werr := error(nil)
-		if g := t.opt.CheckpointGuard; g != nil {
-			werr = g()
-		}
-		if werr == nil {
-			werr = SaveTemperCheckpoint(t.opt.CheckpointPath, t.boundary)
-		}
-		if werr != nil {
+	if err != nil && t.boundary != nil {
+		if werr := t.saveBoundary(); werr != nil {
 			err = fmt.Errorf("place: tempering interrupted and checkpoint write failed: %v: %w", werr, err)
 		}
 	}

@@ -142,16 +142,16 @@ func TestTemperedInterruptResumeBitIdentical(t *testing.T) {
 		t.Fatalf("interrupt error %v does not wrap context.Canceled", err)
 	}
 
-	tck, err := LoadTemperCheckpoint(path)
+	ck, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatalf("no tempering checkpoint after interrupt: %v", err)
 	}
-	if tck.Reps[0].Ctl.Step >= resRef.Steps {
+	if ck.Temper.Reps[0].Ctl.Step >= resRef.Steps {
 		t.Fatalf("checkpoint at step %d leaves nothing to resume (run had %d steps)",
-			tck.Reps[0].Ctl.Step, resRef.Steps)
+			ck.Temper.Reps[0].Ctl.Step, resRef.Steps)
 	}
 	for _, workers := range []int{1, 3} {
-		pRes, resRes, err := ResumeStage1Tempered(context.Background(), c, tck, Options{}, workers)
+		pRes, resRes, err := Resume(context.Background(), c, ck, Options{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,20 +179,20 @@ func TestTemperedDoubleInterruptResume(t *testing.T) {
 	if _, _, err := RunStage1TemperedCtx(newSafeCountdownCtx(30), c, opt, 2, 2); err == nil {
 		t.Fatal("first countdown run completed; lower the countdown")
 	}
-	tck, err := LoadTemperCheckpoint(path)
+	ck, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = ResumeStage1Tempered(newSafeCountdownCtx(30), c, tck,
+	_, _, err = Resume(newSafeCountdownCtx(30), c, ck,
 		Options{CheckpointPath: path, CheckpointEvery: 1}, 2)
 	if err == nil {
 		t.Fatal("second leg completed; lower the countdown to re-interrupt")
 	}
-	tck, err = LoadTemperCheckpoint(path)
+	ck, err = LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pRes, resRes, err := ResumeStage1Tempered(context.Background(), c, tck, Options{}, 2)
+	pRes, resRes, err := Resume(context.Background(), c, ck, Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,41 +213,37 @@ func TestTemperCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tck, err := LoadTemperCheckpoint(path)
+	ck, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tck.Validate(c); err != nil {
+	if ck.Temper == nil || ck.Single != nil {
+		t.Fatalf("LoadCheckpoint misclassified a tempering checkpoint: %+v", ck)
+	}
+	if err := ck.Validate(c); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := EncodeTemperCheckpoint(&buf, tck); err != nil {
+	if err := EncodeCheckpoint(&buf, ck); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeTemperCheckpoint(bytes.NewReader(buf.Bytes()))
+	back, err := DecodeCheckpoint(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, tck) {
+	if !reflect.DeepEqual(back, ck) {
 		t.Fatal("decode(encode(ck)) differs from ck")
 	}
 
-	// The sniffing loader must dispatch both kinds by magic.
-	any, err := LoadAnyCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if any.Temper == nil || any.Single != nil {
-		t.Fatalf("LoadAnyCheckpoint misclassified a tempering checkpoint: %+v", any)
-	}
+	// The one decoder must dispatch the single-run kind by magic too.
 	singlePath := filepath.Join(dir, "single.ckpt")
 	interruptOnce(t, c, Options{Seed: 3, Ac: 8, MaxSteps: 8, CheckpointPath: singlePath}, 8)
-	any, err = LoadAnyCheckpoint(singlePath)
+	ck, err = LoadCheckpoint(singlePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if any.Single == nil || any.Temper != nil {
-		t.Fatalf("LoadAnyCheckpoint misclassified a single-run checkpoint: %+v", any)
+	if ck.Single == nil || ck.Temper != nil {
+		t.Fatalf("LoadCheckpoint misclassified a single-run checkpoint: %+v", ck)
 	}
 }
 
@@ -264,11 +260,11 @@ func TestTemperCheckpointValidateRejectsMismatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	load := func() *TemperCheckpoint {
-		tck, err := LoadTemperCheckpoint(path)
+		ck, err := LoadCheckpoint(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tck
+		return ck.Temper
 	}
 	for _, tc := range []struct {
 		name   string
@@ -282,7 +278,7 @@ func TestTemperCheckpointValidateRejectsMismatches(t *testing.T) {
 	} {
 		ck := load()
 		tc.mutate(ck)
-		if err := ck.Validate(c); err == nil {
+		if err := ck.validate(c); err == nil {
 			t.Errorf("%s: Validate accepted a corrupted checkpoint", tc.name)
 		}
 	}

@@ -375,7 +375,7 @@ func (s *scanner) scanCheckpoint(id, dir string) {
 		return
 	}
 	s.rep.Artifacts++
-	if _, err := place.LoadAnyCheckpoint(path); err != nil {
+	if _, err := place.LoadCheckpoint(path); err != nil {
 		s.add(Defect{Kind: "checkpoint", Severity: SevWarn, Job: id, Path: path,
 			Detail: err.Error(), Repaired: s.quarantine(path)})
 	}
