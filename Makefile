@@ -34,18 +34,22 @@ test:
 race:
 	$(GO) test -race ./...
 
+# -fuzzminimizetime=100x caps the minimization of each new interesting
+# input at 100 execs. With Go's default 60 s budget a smoke whose seeds are
+# hard to shrink (FuzzDecodeCheckpoint's CRC-framed files) spends its whole
+# -fuzztime minimizing its first finding instead of fuzzing.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/netlist
-	$(GO) test -fuzz=FuzzParseYAL -fuzztime=$(FUZZTIME) ./internal/netlist
-	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME) ./internal/place
-	$(GO) test -fuzz=FuzzDecodeLines -fuzztime=$(FUZZTIME) ./internal/telemetry
-	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/frame
-	$(GO) test -fuzz=FuzzDecodeJournal -fuzztime=$(FUZZTIME) ./internal/jobs
-	$(GO) test -fuzz=FuzzDecodeLease -fuzztime=$(FUZZTIME) ./internal/jobs
-	$(GO) test -fuzz=FuzzParseTenantConfig -fuzztime=$(FUZZTIME) ./internal/jobs
-	$(GO) test -fuzz=FuzzCanonicalSpec -fuzztime=$(FUZZTIME) ./internal/jobs
-	$(GO) test -fuzz=FuzzDecodeDedupIndex -fuzztime=$(FUZZTIME) ./internal/jobs
-	$(GO) test -fuzz=FuzzRouteOracle -fuzztime=$(FUZZTIME) ./internal/route
+	$(GO) test -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/netlist
+	$(GO) test -fuzz=FuzzParseYAL -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/netlist
+	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/place
+	$(GO) test -fuzz=FuzzDecodeLines -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/telemetry
+	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/frame
+	$(GO) test -fuzz=FuzzDecodeJournal -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/jobs
+	$(GO) test -fuzz=FuzzDecodeLease -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/jobs
+	$(GO) test -fuzz=FuzzParseTenantConfig -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/jobs
+	$(GO) test -fuzz=FuzzCanonicalSpec -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/jobs
+	$(GO) test -fuzz=FuzzDecodeDedupIndex -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/jobs
+	$(GO) test -fuzz=FuzzRouteOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/route
 
 # serve-smoke drives a real twserve process end to end: start on an
 # ephemeral port, submit a job, SIGTERM mid-run, and require a clean exit

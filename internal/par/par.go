@@ -241,21 +241,3 @@ func MapRetry[T any](ctx context.Context, workers, n, retries int, fn func(i int
 	})
 	return out, tes
 }
-
-// MapErr runs fn(i) for every i in [0, n) on the pool, storing results in
-// index order and returning the lowest-index error (deterministic
-// regardless of completion order), or nil if every task succeeded. Unlike
-// MapRetry it performs no recovery: a panic propagates.
-func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	ForEach(workers, n, func(i int) {
-		out[i], errs[i] = fn(i)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"errors"
 	"sync/atomic"
 	"testing"
 )
@@ -47,32 +46,5 @@ func TestWorkersDefault(t *testing.T) {
 	}
 	if Workers(5) != 5 {
 		t.Fatal("positive request must pass through")
-	}
-}
-
-func TestMapErrDeterministicError(t *testing.T) {
-	errA, errB := errors.New("a"), errors.New("b")
-	for _, w := range []int{1, 8} {
-		_, err := MapErr(w, 100, func(i int) (int, error) {
-			switch i {
-			case 90:
-				return 0, errB
-			case 10:
-				return 0, errA
-			}
-			return i, nil
-		})
-		if err != errA {
-			t.Fatalf("workers=%d: err = %v, want lowest-index error %v", w, err, errA)
-		}
-	}
-	out, err := MapErr(4, 5, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
 	}
 }

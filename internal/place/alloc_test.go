@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 )
 
 // TestSetStateZeroAllocs pins the structure-of-arrays refactor: the
@@ -38,6 +39,43 @@ func TestSetStateZeroAllocs(t *testing.T) {
 		k++
 	}); got != 0 {
 		t.Fatalf("SetState allocates %v per move, want 0", got)
+	}
+}
+
+// TestRefineMoveZeroAllocs extends the guard to Stage 2: one refinement
+// attempt (a displacement, or a pin-site move on a custom cell) reuses the
+// annealer's state buffers and must not allocate, telemetry included.
+func TestRefineMoveZeroAllocs(t *testing.T) {
+	p := newTestPlacement(t, 25, true)
+	Randomize(p, rng.New(2))
+	widths := make([][4]int, len(p.Circuit.Cells))
+	for i := range widths {
+		widths[i] = [4]int{3, 3, 3, 3}
+	}
+	reg := telemetry.NewRegistry()
+	s := newRefineRun(p, widths, RefineOptions{Seed: 2, Ac: 20, Tel: telemetry.New(nil, reg, nil)})
+	s.initTelemetry()
+	if !s.ctl.Next() {
+		t.Fatal("controller refused to start")
+	}
+	// Reach steady state first: the state buffers grow to the widest
+	// cell's unit count and the spatial-index bins to working capacity.
+	for k := 0; k < 2000; k++ {
+		s.moves.generate(s)
+	}
+	// AllocsPerRun truncates its average, and only custom cells with
+	// uncommitted pins can allocate, so each run is a batch of attempts.
+	if got := testing.AllocsPerRun(50, func() {
+		for k := 0; k < 100; k++ {
+			s.moves.generate(s)
+		}
+	}); got != 0 {
+		t.Fatalf("refinement moves allocate %v per 100 attempts, want 0", got)
+	}
+	for _, class := range []string{"displace", "pin"} {
+		if reg.Counter("refine.move."+class+".attempts").Value() == 0 {
+			t.Fatalf("no %s moves attempted; the guard did not cover them", class)
+		}
 	}
 }
 

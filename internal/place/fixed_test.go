@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/geom"
@@ -65,7 +66,9 @@ func TestFixedCellSurvivesRefine(t *testing.T) {
 	for i := range widths {
 		widths[i] = [4]int{3, 3, 3, 3}
 	}
-	RunRefine(p, widths, RefineOptions{Seed: 5, Ac: 20})
+	if _, err := RunRefineCtx(context.Background(), p, widths, RefineOptions{Seed: 5, Ac: 20}); err != nil {
+		t.Fatal(err)
+	}
 	st := p.State(0)
 	if st.Pos != (geom.Point{X: 50, Y: 5}) {
 		t.Fatalf("fixed cell moved during refinement: %v", st.Pos)

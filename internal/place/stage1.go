@@ -226,12 +226,33 @@ var moveClassNames = [numMoveClasses]string{
 	"displace", "invert", "orient", "pin", "shape", "swap", "swap-invert",
 }
 
-// stage1 bundles the per-run state of the generate function.
-type stage1 struct {
+// moveSet is the data that sets one stage's annealer apart from another's
+// besides its controller configuration: the generate function one
+// inner-loop iteration runs, and the move classes it can attempt (the only
+// ones whose metrics are registered).
+type moveSet struct {
+	generate func(*annealRun)
+	classes  []moveClass
+}
+
+var (
+	// stage1Moves is the full generate function of §3.2.1.
+	stage1Moves = moveSet{(*annealRun).generateStage1,
+		[]moveClass{mcDisplace, mcInvert, mcOrient, mcPin, mcShape, mcSwap, mcSwapInvert}}
+	// refineMoves is the placement-refinement move set of §4.3: single-cell
+	// displacements and pin-site moves only.
+	refineMoves = moveSet{(*annealRun).generateRefine, []moveClass{mcDisplace, mcPin}}
+)
+
+// annealRun bundles the per-run state of one anneal: a Stage 1 run, one
+// rung of a tempering ladder, or a Stage 2 refinement pass. They differ
+// only in the controller configuration, the move set, and the options.
+type annealRun struct {
 	p       *Placement
 	ctl     *anneal.Controller
 	src     *rng.Source
 	opt     Options
+	moves   moveSet
 	movable []int
 	// st is the temperature scale factor S_T computed at run start; it is
 	// carried in checkpoints because it depends on the initial random
@@ -253,6 +274,8 @@ type stage1 struct {
 	deltaHist  *telemetry.Histogram
 	gaugeT     *telemetry.Gauge
 	gaugeBest  *telemetry.Gauge
+	// Per-step cost gauges: cost, c1, teil, overlap, c3.
+	gaugeCost, gaugeC1, gaugeTEIL, gaugeOverlap, gaugeC3 *telemetry.Gauge
 	// best-so-far placement by full cost, sampled at step boundaries; the
 	// usable result when a run is interrupted.
 	best      []CellState
@@ -288,17 +311,40 @@ func stage1Config(opt Options, st float64, core geom.Rect, numCells int) anneal.
 	}
 }
 
+// refineConfig builds a refinement pass's controller configuration (§4.3):
+// the Table 2 schedule from the lowered start temperature of Eqn 26, ending
+// at minimum window span, or after three inner loops of unchanged cost
+// under StableStop. opt must be filled.
+func refineConfig(opt RefineOptions, st float64, core geom.Rect, numCells int) anneal.Config {
+	cfg := anneal.Config{
+		ST:              st,
+		TInf:            anneal.Stage2StartTemp(opt.Mu, anneal.StartTemp(st), opt.Rho),
+		Schedule:        anneal.Stage2Schedule(),
+		Ac:              opt.Ac,
+		NumCells:        numCells,
+		WxInf:           2 * float64(core.W()),
+		WyInf:           2 * float64(core.H()),
+		Rho:             opt.Rho,
+		StopOnMinWindow: !opt.StableStop,
+		MaxSteps:        opt.MaxSteps,
+	}
+	if opt.StableStop {
+		cfg.StableSteps = 3
+	}
+	return cfg
+}
+
 // initTelemetry resolves the run's trace label and metric instruments. With
 // no tracer every instrument stays nil (all nil-safe), so the disabled run
 // does no lookups and no allocation.
-func (s *stage1) initTelemetry() {
+func (s *annealRun) initTelemetry() {
 	s.tel = s.opt.Tel
 	s.runLabel = s.opt.runLabel()
 	if s.tel == nil {
 		return
 	}
 	reg := s.tel.Registry()
-	for c := moveClass(0); c < numMoveClasses; c++ {
+	for _, c := range s.moves.classes {
 		base := s.runLabel + ".move." + moveClassNames[c]
 		s.mcAttempts[c] = reg.Counter(base + ".attempts")
 		s.mcAccepts[c] = reg.Counter(base + ".accepts")
@@ -307,11 +353,26 @@ func (s *stage1) initTelemetry() {
 	s.deltaHist = reg.Histogram(s.runLabel+".delta_cost", telemetry.DeltaCostBounds())
 	s.gaugeT = reg.Gauge(s.runLabel + ".T")
 	s.gaugeBest = reg.Gauge(s.runLabel + ".best_cost")
+	s.gaugeCost = reg.Gauge(s.runLabel + ".cost")
+	s.gaugeC1 = reg.Gauge(s.runLabel + ".c1")
+	s.gaugeTEIL = reg.Gauge(s.runLabel + ".teil")
+	s.gaugeOverlap = reg.Gauge(s.runLabel + ".overlap")
+	s.gaugeC3 = reg.Gauge(s.runLabel + ".c3")
+}
+
+// start resolves telemetry and emits the run-start event. t is the start
+// temperature, recorded on tempering rungs only (0 leaves it out).
+func (s *annealRun) start(t float64) {
+	s.initTelemetry()
+	s.tel.Emit(telemetry.Event{
+		Type: telemetry.TypeRunStart, Run: s.runLabel, Label: s.p.Circuit.Name,
+		Cells: len(s.p.Circuit.Cells), Seed: s.opt.Seed, Cost: s.p.Cost(), T: t,
+	})
 }
 
 // record books one move attempt into the per-class metrics. Callers guard
 // with s.tel != nil so the disabled hot path skips the call entirely.
-func (s *stage1) record(class moveClass, delta float64, accepted bool) {
+func (s *annealRun) record(class moveClass, delta float64, accepted bool) {
 	s.mcAttempts[class].Inc()
 	if accepted {
 		s.mcAccepts[class].Inc()
@@ -344,15 +405,11 @@ func RunStage1Ctx(ctx context.Context, c *netlist.Circuit, opt Options) (*Placem
 	st := scaleFactor(p)
 	ctl := anneal.NewController(stage1Config(opt, st, core, len(c.Cells)), src.Split())
 
-	s := &stage1{
-		p: p, ctl: ctl, src: src, opt: opt, st: st,
+	s := &annealRun{
+		p: p, ctl: ctl, src: src, opt: opt, moves: stage1Moves, st: st,
 		movable: p.MovableCells(), resumeInner: -1,
 	}
-	s.initTelemetry()
-	s.tel.Emit(telemetry.Event{
-		Type: telemetry.TypeRunStart, Run: s.runLabel, Label: c.Name,
-		Cells: len(c.Cells), Seed: opt.Seed, Cost: p.Cost(),
-	})
+	s.start(0)
 	res, err := s.run(ctx)
 	return p, res, err
 }
@@ -422,14 +479,14 @@ func Resume(ctx context.Context, c *netlist.Circuit, ck *AnyCheckpoint, opt Opti
 	return s.p, res, err
 }
 
-// restoreRun rebuilds a ready-to-run stage1 from one run's saved state r:
-// a placement on core with r's cell states, its exact cost accumulators and
-// the shared p2, the move RNG, a controller parameterized by cfg and then
-// restored, the best-so-far, and the history. inner is the resume-inner
+// restoreRun rebuilds a ready-to-run Stage 1 annealRun from one run's saved
+// state r: a placement on core with r's cell states, its exact cost
+// accumulators and the shared p2, the move RNG, a controller parameterized
+// by cfg and then restored, the best-so-far, and the history. inner is the resume-inner
 // index (-1 at a step boundary). Telemetry resolves under opt and records
 // the resume. Resume uses it once for a single run, the ladder once per
 // rung.
-func restoreRun(c *netlist.Circuit, core geom.Rect, p2 float64, cfg anneal.Config, opt Options, r *RunCheckpoint, inner int) (*stage1, error) {
+func restoreRun(c *netlist.Circuit, core geom.Rect, p2 float64, cfg anneal.Config, opt Options, r *RunCheckpoint, inner int) (*annealRun, error) {
 	p := New(c, core, estimate.New(c, core, opt.Params))
 	if err := unitCountsMatch(p, r.States); err != nil {
 		return nil, err
@@ -453,8 +510,8 @@ func restoreRun(c *netlist.Circuit, core geom.Rect, p2 float64, cfg anneal.Confi
 	ctl := anneal.NewController(cfg, rng.New(0))
 	ctl.Restore(r.Ctl)
 
-	s := &stage1{
-		p: p, ctl: ctl, src: src, opt: opt, st: cfg.ST,
+	s := &annealRun{
+		p: p, ctl: ctl, src: src, opt: opt, moves: stage1Moves, st: cfg.ST,
 		movable:     p.MovableCells(),
 		attempts:    r.Attempts,
 		history:     append([]StepStat(nil), r.History...),
@@ -577,14 +634,10 @@ func RunStage1N(ctx context.Context, c *netlist.Circuit, opt Options, nstarts, w
 	return trials[best].p, trials[best].res, starts, par.Join(tes)
 }
 
-func (s *stage1) run(ctx context.Context) (Result, error) {
+func (s *annealRun) run(ctx context.Context) (Result, error) {
 	if len(s.movable) == 0 {
 		// Everything pre-placed: nothing to anneal.
-		return Result{
-			TEIL: s.p.TEIL(), C1: s.p.C1(),
-			Overlap: s.p.C2Raw(), RawOverlap: s.p.RawOverlap(), C3: s.p.C3(),
-			P2: s.p.P2,
-		}, nil
+		return s.finish(nil)
 	}
 	if s.resumeInner >= 0 {
 		// Finish the temperature step the checkpoint interrupted.
@@ -611,35 +664,30 @@ func (s *stage1) run(ctx context.Context) (Result, error) {
 
 // innerLoop executes the current temperature step's move attempts starting
 // at iteration from (nonzero when resuming mid-step). On cancellation it
-// writes a checkpoint recording exactly how far the step progressed and
-// returns an error wrapping ctx.Err().
-func (s *stage1) innerLoop(ctx context.Context, from int) error {
-	pDisp := s.opt.R / (s.opt.R + 1)
+// writes a checkpoint recording exactly how far the step progressed (when
+// the run has a checkpoint path) and returns an error wrapping ctx.Err().
+func (s *annealRun) innerLoop(ctx context.Context, from int) error {
 	inner := s.ctl.InnerIterations()
 	for it := from; it < inner; it++ {
 		if it%ctxCheckStride == 0 && ctx.Err() != nil {
 			cause := ctx.Err()
 			if s.opt.CheckpointPath != "" {
 				if werr := s.saveCheckpoint(it); werr != nil {
-					return fmt.Errorf("place: stage 1 interrupted at step %d and checkpoint write failed: %v: %w",
-						s.ctl.Step(), werr, cause)
+					return fmt.Errorf("place: %s interrupted at step %d and checkpoint write failed: %v: %w",
+						s.runLabel, s.ctl.Step(), werr, cause)
 				}
 			}
-			return fmt.Errorf("place: stage 1 interrupted at step %d: %w", s.ctl.Step(), cause)
+			return fmt.Errorf("place: %s interrupted at step %d: %w", s.runLabel, s.ctl.Step(), cause)
 		}
 		s.attempts++
-		if s.src.Bool(pDisp) {
-			s.generateDisplacement()
-		} else {
-			s.generateInterchange()
-		}
+		s.moves.generate(s)
 	}
 	return nil
 }
 
 // endStep closes the current temperature step: stopping-criterion
 // accounting, history, best-so-far tracking, and the per-step trace event.
-func (s *stage1) endStep() {
+func (s *annealRun) endStep() {
 	// Invariant place.cost: at every temperature-step boundary the
 	// incremental cost accumulators must agree with a from-scratch
 	// recomputation. CheckCostDrift restores the incremental values, so the
@@ -671,17 +719,16 @@ func (s *stage1) endStep() {
 			Cost: cost, C1: s.p.C1(), C2: s.p.C2Raw(), C3: s.p.C3(),
 			TEIL: s.p.TEIL(), Attempts: s.attempts,
 		})
-		reg := s.tel.Registry()
-		reg.Gauge(s.runLabel + ".cost").Set(cost)
-		reg.Gauge(s.runLabel + ".c1").Set(s.p.C1())
-		reg.Gauge(s.runLabel + ".teil").Set(s.p.TEIL())
-		reg.Gauge(s.runLabel + ".overlap").Set(float64(s.p.C2Raw()))
-		reg.Gauge(s.runLabel + ".c3").Set(s.p.C3())
+		s.gaugeCost.Set(cost)
+		s.gaugeC1.Set(s.p.C1())
+		s.gaugeTEIL.Set(s.p.TEIL())
+		s.gaugeOverlap.Set(float64(s.p.C2Raw()))
+		s.gaugeC3.Set(s.p.C3())
 		// Annealing-health gauges for scrapes: schedule position, best cost
 		// so far, and the cumulative acceptance ratio per move class.
 		s.gaugeT.Set(s.ctl.T())
 		s.gaugeBest.Set(s.bestCost)
-		for c := range s.mcAttempts {
+		for _, c := range s.moves.classes {
 			if n := s.mcAttempts[c].Value(); n > 0 {
 				s.mcRatio[c].Set(float64(s.mcAccepts[c].Value()) / float64(n))
 			}
@@ -692,14 +739,14 @@ func (s *stage1) endStep() {
 }
 
 // maybeCheckpoint writes a boundary checkpoint when one is due.
-func (s *stage1) maybeCheckpoint() error {
+func (s *annealRun) maybeCheckpoint() error {
 	if s.opt.CheckpointPath == "" || s.ctl.Step()%s.opt.CheckpointEvery != 0 {
 		return nil
 	}
 	return s.saveCheckpoint(-1)
 }
 
-func (s *stage1) snapshotStates() []CellState {
+func (s *annealRun) snapshotStates() []CellState {
 	out := make([]CellState, len(s.p.Circuit.Cells))
 	for i := range out {
 		out[i] = s.p.State(i)
@@ -710,7 +757,7 @@ func (s *stage1) snapshotStates() []CellState {
 // snapshot captures the run's resumable state. Best and History are
 // shared, not copied: endStep replaces best rather than mutating it, and
 // the capped history slice keeps later appends out of the snapshot.
-func (s *stage1) snapshot() RunCheckpoint {
+func (s *annealRun) snapshot() RunCheckpoint {
 	return RunCheckpoint{
 		Ctl:       s.ctl.State(),
 		Src:       s.src.State(),
@@ -726,7 +773,7 @@ func (s *stage1) snapshot() RunCheckpoint {
 
 // saveCheckpoint writes the run's snapshot; innerDone is the number of
 // inner iterations completed in the current step, or -1 at a boundary.
-func (s *stage1) saveCheckpoint(innerDone int) error {
+func (s *annealRun) saveCheckpoint(innerDone int) error {
 	r := s.snapshot()
 	ck := &Checkpoint{
 		Version: CheckpointVersion, Circuit: s.p.Circuit.Name, Opt: snapshotOptions(s.opt),
@@ -774,7 +821,7 @@ func writeCheckpoint(opt *Options, run string, ck *AnyCheckpoint, step, inner in
 // states are applied so the caller gets the strongest usable placement; the
 // checkpoint written at the interruption point already captured the exact
 // in-flight state, so resumability is unaffected.
-func (s *stage1) finish(err error) (Result, error) {
+func (s *annealRun) finish(err error) (Result, error) {
 	if err != nil && s.bestValid && s.bestCost < s.p.Cost() {
 		for i, st := range s.best {
 			s.p.SetState(i, cloneState(st))
@@ -806,7 +853,7 @@ func (s *stage1) finish(err error) (Result, error) {
 // state, reused for the revert so the attempt allocates nothing. class
 // labels the attempt for per-class metrics; recording happens after the
 // accept decision, so it cannot perturb it.
-func (s *stage1) tryMove(i int, old *CellState, st CellState, class moveClass) bool {
+func (s *annealRun) tryMove(i int, old *CellState, st CellState, class moveClass) bool {
 	before := s.p.Cost()
 	s.p.SetState(i, st)
 	delta := s.p.Cost() - before
@@ -821,11 +868,37 @@ func (s *stage1) tryMove(i int, old *CellState, st CellState, class moveClass) b
 	return false
 }
 
-// generateDisplacement implements the move_type == 1 branch of the paper's
-// generate function (§3.2.1).
-func (s *stage1) generateDisplacement() {
+// generateStage1 is one attempt of the paper's generate function (§3.2.1):
+// a displacement with probability R/(R+1), else a pairwise interchange.
+func (s *annealRun) generateStage1() {
+	if s.src.Bool(s.opt.R / (s.opt.R + 1)) {
+		s.generateDisplacement()
+	} else {
+		s.generateInterchange()
+	}
+}
+
+// generateRefine is one attempt of the refinement generate function
+// (§4.3): a pin-site move, one time in four for a custom cell with
+// uncommitted pins, else a single-cell displacement (A1 alone).
+// Orientations and shapes stay fixed.
+func (s *annealRun) generateRefine() {
 	p := s.p
 	i := s.movable[s.src.Intn(len(s.movable))]
+	if p.Circuit.Cells[i].Kind == netlist.Custom && p.Units(i) > 0 && s.src.Bool(0.25) {
+		s.tryPinMove(i)
+		return
+	}
+	cur := &s.cur
+	p.StateInto(i, cur)
+	st := *cur
+	st.Pos = s.displacementTarget(cur.Pos)
+	s.tryMove(i, cur, st, mcDisplace)
+}
+
+// displacementTarget draws a displacement inside the range-limiter window
+// (D_s, or D_r under UseDr) and applies it to pos, clamped to the core.
+func (s *annealRun) displacementTarget(pos geom.Point) geom.Point {
 	wx, wy := s.ctl.Window()
 	var dx, dy int
 	if s.opt.UseDr {
@@ -833,18 +906,26 @@ func (s *stage1) generateDisplacement() {
 	} else {
 		dx, dy = anneal.PickDisplacementDs(s.src, wx, wy)
 	}
+	core := s.p.Core
+	return geom.Point{
+		X: clamp(pos.X+dx, core.XLo, core.XHi),
+		Y: clamp(pos.Y+dy, core.YLo, core.YHi),
+	}
+}
+
+// generateDisplacement implements the move_type == 1 branch of the paper's
+// generate function (§3.2.1).
+func (s *annealRun) generateDisplacement() {
+	p := s.p
+	i := s.movable[s.src.Intn(len(s.movable))]
 	cur := &s.cur
 	p.StateInto(i, cur)
-	target := geom.Point{
-		X: clamp(cur.Pos.X+dx, p.Core.XLo, p.Core.XHi),
-		Y: clamp(cur.Pos.Y+dy, p.Core.YLo, p.Core.YHi),
-	}
 
 	// A1: displace cell i to the target location. The trial state shares
 	// cur's Units backing: displacement and orientation moves never touch
 	// unit assignments, and SetState copies the values out.
 	st := *cur
-	st.Pos = target
+	st.Pos = s.displacementTarget(cur.Pos)
 	if !s.tryMove(i, cur, st, mcDisplace) {
 		// A1': retry with an aspect-ratio-inverting orientation
 		// (Figure 2: cell C2 fits the target slot once inverted).
@@ -871,7 +952,7 @@ func (s *stage1) generateDisplacement() {
 
 // generateInterchange implements the move_type == 2 branch: a pairwise
 // interchange, retried with aspect inversions on rejection.
-func (s *stage1) generateInterchange() {
+func (s *annealRun) generateInterchange() {
 	n := len(s.movable)
 	if n < 2 {
 		return
@@ -887,7 +968,7 @@ func (s *stage1) generateInterchange() {
 	}
 }
 
-func (s *stage1) trySwap(i, j int, invert bool) bool {
+func (s *annealRun) trySwap(i, j int, invert bool) bool {
 	p := s.p
 	before := p.Cost()
 	oi, oj := &s.cur, &s.alt
@@ -920,7 +1001,7 @@ func (s *stage1) trySwap(i, j int, invert bool) bool {
 
 // tryPinMove displaces one random uncommitted pin unit of cell i to a new
 // edge/site assignment.
-func (s *stage1) tryPinMove(i int) bool {
+func (s *annealRun) tryPinMove(i int) bool {
 	p := s.p
 	if p.Units(i) == 0 {
 		return false
@@ -934,7 +1015,7 @@ func (s *stage1) tryPinMove(i int) bool {
 
 // tryShapeChange attempts an aspect-ratio change within the instance's
 // bounds, or an instance switch when the cell has alternatives.
-func (s *stage1) tryShapeChange(i int) bool {
+func (s *annealRun) tryShapeChange(i int) bool {
 	p := s.p
 	cl := &p.Circuit.Cells[i]
 	cur := &s.cur
@@ -969,7 +1050,7 @@ func (s *stage1) tryShapeChange(i int) bool {
 
 // randomInversion returns a random orientation with the opposite axis-swap
 // parity: the "aspect ratio inversion" of §3.2.1.
-func (s *stage1) randomInversion(o geom.Orient) geom.Orient {
+func (s *annealRun) randomInversion(o geom.Orient) geom.Orient {
 	inv := o.AspectInversions()
 	return inv[s.src.Intn(len(inv))]
 }

@@ -20,12 +20,6 @@ import (
 // reject, and the exchange moves funnel their discoveries down the ladder.
 const TemperGamma = 1.5
 
-// RunStage1Tempered is RunStage1TemperedCtx without cancellation.
-func RunStage1Tempered(c *netlist.Circuit, opt Options, replicas, workers int) (*Placement, Result) {
-	p, res, _ := RunStage1TemperedCtx(context.Background(), c, opt, replicas, workers)
-	return p, res
-}
-
 // RunStage1TemperedCtx runs Stage 1 with parallel tempering (replica
 // exchange): `replicas` coupled anneals of the same circuit at staggered
 // temperatures T_∞·γ^k, advancing in lockstep. After every temperature step,
@@ -64,7 +58,7 @@ func RunStage1TemperedCtx(ctx context.Context, c *netlist.Circuit, opt Options, 
 	seeds := ladderSeeds(opt.Seed, replicas)
 	xsrc := rng.New(seeds[replicas])
 
-	reps := make([]*stage1, replicas)
+	reps := make([]*annealRun, replicas)
 	// Replica construction is independent per slot (own placement, own
 	// estimator, own RNG), so it parallelizes without ordering effects.
 	par.ForEach(workers, replicas, func(k int) {
@@ -72,7 +66,7 @@ func RunStage1TemperedCtx(ctx context.Context, c *netlist.Circuit, opt Options, 
 		p := New(c, core, est)
 		src := rng.New(seeds[k])
 		Randomize(p, src)
-		reps[k] = &stage1{p: p, src: src, resumeInner: -1}
+		reps[k] = &annealRun{p: p, src: src, moves: stage1Moves, resumeInner: -1}
 	})
 
 	// One cost function for the whole ladder: p2 and S_T from replica 0.
@@ -86,11 +80,7 @@ func RunStage1TemperedCtx(ctx context.Context, c *netlist.Circuit, opt Options, 
 		s.opt = rungOptions(opt, seeds, k)
 		s.st = st
 		s.movable = s.p.MovableCells()
-		s.initTelemetry()
-		s.tel.Emit(telemetry.Event{
-			Type: telemetry.TypeRunStart, Run: s.runLabel, Label: c.Name,
-			Cells: len(c.Cells), Seed: s.opt.Seed, Cost: s.p.Cost(), T: s.ctl.T(),
-		})
+		s.start(s.ctl.T())
 	}
 	return newTemperRun(c, reps, xsrc, opt, workers).run(ctx)
 }
@@ -101,7 +91,7 @@ func RunStage1TemperedCtx(ctx context.Context, c *netlist.Circuit, opt Options, 
 // filled options of the ladder.
 func resumeLadder(ctx context.Context, c *netlist.Circuit, tck *TemperCheckpoint, o Options, workers int) (*Placement, Result, error) {
 	seeds := ladderSeeds(o.Seed, tck.Replicas)
-	reps := make([]*stage1, tck.Replicas)
+	reps := make([]*annealRun, tck.Replicas)
 	for k := range reps {
 		s, err := restoreRun(c, tck.Core, tck.P2, rungConfig(o, tck.ST, tck.Core, len(c.Cells), k),
 			rungOptions(o, seeds, k), &tck.Reps[k], -1)
@@ -155,7 +145,7 @@ func rungOptions(opt Options, seeds []uint64, k int) Options {
 // checkpoints.
 type temperRun struct {
 	c       *netlist.Circuit
-	reps    []*stage1
+	reps    []*annealRun
 	xsrc    *rng.Source // exchange-decision stream
 	opt     Options     // ladder-wide options (checkpoint control lives here)
 	workers int
@@ -170,7 +160,7 @@ type temperRun struct {
 	boundary *TemperCheckpoint
 }
 
-func newTemperRun(c *netlist.Circuit, reps []*stage1, xsrc *rng.Source, opt Options, workers int) *temperRun {
+func newTemperRun(c *netlist.Circuit, reps []*annealRun, xsrc *rng.Source, opt Options, workers int) *temperRun {
 	return &temperRun{
 		c: c, reps: reps, xsrc: xsrc, opt: opt,
 		workers: workers, label: opt.runLabel(), tel: opt.Tel,

@@ -2,11 +2,8 @@ package place
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/anneal"
-	"repro/internal/geom"
-	"repro/internal/netlist"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
 )
@@ -45,6 +42,9 @@ func (o *RefineOptions) fill() {
 	if o.Rho <= 0 {
 		o.Rho = 4
 	}
+	if o.Label == "" {
+		o.Label = "refine"
+	}
 }
 
 // RefineResult summarizes one refinement pass.
@@ -55,68 +55,35 @@ type RefineResult struct {
 	AcceptRate float64
 }
 
-// refinePass bundles the per-pass state of the refinement generate function,
-// mirroring stage1: a nil tel disables telemetry at the cost of one pointer
-// comparison per move, with instruments pre-resolved so the enabled path
-// does not allocate.
-type refinePass struct {
-	p   *Placement
-	ctl *anneal.Controller
-	src *rng.Source
-
-	tel        *telemetry.Tracer
-	runLabel   string
-	mcAttempts [numMoveClasses]*telemetry.Counter
-	mcAccepts  [numMoveClasses]*telemetry.Counter
-	deltaHist  *telemetry.Histogram
-}
-
-func (r *refinePass) initTelemetry(opt RefineOptions) {
-	r.tel = opt.Tel
-	r.runLabel = opt.Label
-	if r.runLabel == "" {
-		r.runLabel = "refine"
-	}
-	if r.tel == nil {
-		return
-	}
-	reg := r.tel.Registry()
-	for _, c := range []moveClass{mcDisplace, mcPin} {
-		base := r.runLabel + ".move." + moveClassNames[c]
-		r.mcAttempts[c] = reg.Counter(base + ".attempts")
-		r.mcAccepts[c] = reg.Counter(base + ".accepts")
-	}
-	r.deltaHist = reg.Histogram(r.runLabel+".delta_cost", telemetry.DeltaCostBounds())
-}
-
-func (r *refinePass) record(class moveClass, delta float64, accepted bool) {
-	r.mcAttempts[class].Inc()
-	if accepted {
-		r.mcAccepts[class].Inc()
-	}
-	r.deltaHist.Observe(delta)
-}
-
-// RunRefine performs one low-temperature placement-refinement pass on p,
-// using the given static per-cell, per-world-side expansions (half the
+// RunRefineCtx performs one low-temperature placement-refinement pass on
+// p, using the given static per-cell, per-world-side expansions (half the
 // required channel width per bordering edge, from channel definition and
-// global routing). New states are generated only by single-cell
-// displacements and pin-placement alterations; orientations and aspect
-// ratios stay fixed (§4.3).
-func RunRefine(p *Placement, widths [][4]int, opt RefineOptions) RefineResult {
-	res, _ := RunRefineCtx(context.Background(), p, widths, opt)
-	return res
+// global routing). The pass runs on the Stage 1 annealer with the
+// refinement controller configuration and move set: new states come only
+// from single-cell displacements and pin-placement alterations;
+// orientations and aspect ratios stay fixed (§4.3).
+//
+// On cancellation the pass stops at the next inner-loop stride, applies
+// the best-so-far placement seen at a step boundary when it beats the
+// current one, and returns an error wrapping ctx.Err(). Refinement starts
+// from an already-valid placement, so a cancelled pass still leaves p
+// usable (merely less refined); there is no checkpoint to write.
+func RunRefineCtx(ctx context.Context, p *Placement, widths [][4]int, opt RefineOptions) (RefineResult, error) {
+	s := newRefineRun(p, widths, opt)
+	s.start(0)
+	res, err := s.run(ctx)
+	return RefineResult{
+		TEIL:       res.TEIL,
+		Overlap:    res.Overlap,
+		Steps:      res.Steps,
+		AcceptRate: res.AcceptRate,
+	}, err
 }
 
-// RunRefineCtx is RunRefine with cancellation: the pass stops at the next
-// inner-loop stride or step boundary after ctx is cancelled and returns the
-// placement as refined so far together with an error wrapping ctx.Err().
-// Refinement is a monotone improvement pass over an already-valid placement,
-// so a cancelled pass still leaves p in a usable (merely less-refined)
-// state; there is no checkpoint to write.
-func RunRefineCtx(ctx context.Context, p *Placement, widths [][4]int, opt RefineOptions) (RefineResult, error) {
+// newRefineRun switches p to the given static expansions and builds the
+// refinement pass over it, ready to start.
+func newRefineRun(p *Placement, widths [][4]int, opt RefineOptions) *annealRun {
 	opt.fill()
-	// Switch to static expansion mode.
 	p.Est = nil
 	for i := range p.Circuit.Cells {
 		var w [4]int
@@ -125,131 +92,15 @@ func RunRefineCtx(ctx context.Context, p *Placement, widths [][4]int, opt Refine
 		}
 		p.SetStaticExpansion(i, w)
 	}
-
-	var expArea int64
-	for i := range p.Circuit.Cells {
-		expArea += p.Tiles(i).Area()
-	}
-	st := anneal.ScaleFactor(float64(expArea) / float64(max(1, len(p.Circuit.Cells))))
-	tInf := anneal.StartTemp(st)
-
-	cfg := anneal.Config{
-		ST:       st,
-		TInf:     anneal.Stage2StartTemp(opt.Mu, tInf, opt.Rho),
-		Schedule: anneal.Stage2Schedule(),
-		Ac:       opt.Ac,
-		NumCells: len(p.Circuit.Cells),
-		WxInf:    2 * float64(p.Core.W()),
-		WyInf:    2 * float64(p.Core.H()),
-		Rho:      opt.Rho,
-		MaxSteps: opt.MaxSteps,
-	}
-	if opt.StableStop {
-		cfg.StableSteps = 3
-	} else {
-		cfg.StopOnMinWindow = true
-	}
+	st := scaleFactor(p)
 	src := rng.New(opt.Seed)
-	ctl := anneal.NewController(cfg, src.Split())
-
-	r := &refinePass{p: p, ctl: ctl, src: src}
-	r.initTelemetry(opt)
-	r.tel.Emit(telemetry.Event{
-		Type: telemetry.TypeRunStart, Run: r.runLabel, Label: p.Circuit.Name,
-		Cells: len(p.Circuit.Cells), Seed: opt.Seed, Cost: p.Cost(),
-	})
-
-	movable := p.MovableCells()
-	var cancelled error
-loop:
-	for ctl.Next() {
-		if len(movable) == 0 {
-			ctl.EndStep(p.Cost())
-			r.endStepTelemetry()
-			break
-		}
-		inner := ctl.InnerIterations()
-		for it := 0; it < inner; it++ {
-			if it%ctxCheckStride == 0 && ctx.Err() != nil {
-				cancelled = fmt.Errorf("place: refinement interrupted at step %d: %w",
-					ctl.Step(), ctx.Err())
-				break loop
-			}
-			i := movable[src.Intn(len(movable))]
-			if p.Circuit.Cells[i].Kind == netlist.Custom && p.Units(i) > 0 && src.Bool(0.25) {
-				r.tryPinMove(i)
-				continue
-			}
-			r.tryDisplace(i)
-		}
-		ctl.EndStep(p.Cost())
-		r.endStepTelemetry()
+	ctl := anneal.NewController(refineConfig(opt, st, p.Core, len(p.Circuit.Cells)), src.Split())
+	return &annealRun{
+		p: p, ctl: ctl, src: src, moves: refineMoves, st: st,
+		opt: Options{
+			Seed: opt.Seed, Ac: opt.Ac, Rho: opt.Rho, MaxSteps: opt.MaxSteps,
+			Tel: opt.Tel, Label: opt.Label,
+		},
+		movable: p.MovableCells(), resumeInner: -1,
 	}
-	res := RefineResult{
-		TEIL:       p.TEIL(),
-		Overlap:    p.C2Raw(),
-		Steps:      ctl.Step(),
-		AcceptRate: ctl.AcceptRate(),
-	}
-	r.tel.Emit(telemetry.Event{
-		Type: telemetry.TypeRunEnd, Run: r.runLabel,
-		Step: res.Steps, T: ctl.T(), Acc: res.AcceptRate,
-		Cost: p.Cost(), TEIL: res.TEIL,
-	})
-	return res, cancelled
-}
-
-// endStepTelemetry emits the per-step trace event and progress line after
-// ctl.EndStep has closed the step.
-func (r *refinePass) endStepTelemetry() {
-	if r.tel == nil {
-		return
-	}
-	wx, wy := r.ctl.Window()
-	r.tel.Emit(telemetry.Event{
-		Type: telemetry.TypeStep, Run: r.runLabel,
-		Step: r.ctl.Step(), T: r.ctl.T(), Acc: r.ctl.StepAcceptRate(),
-		Wx: wx, Wy: wy,
-		Cost: r.p.Cost(), C1: r.p.C1(), C2: r.p.C2Raw(), C3: r.p.C3(),
-		TEIL: r.p.TEIL(),
-	})
-	r.tel.Progressf("%s: step %d T=%.4g cost=%.6g acc=%.2f",
-		r.runLabel, r.ctl.Step(), r.ctl.T(), r.p.Cost(), r.ctl.StepAcceptRate())
-}
-
-func (r *refinePass) tryDisplace(i int) bool {
-	p := r.p
-	wx, wy := r.ctl.Window()
-	dx, dy := anneal.PickDisplacementDs(r.src, wx, wy)
-	st := p.State(i)
-	st.Pos = geom.Point{
-		X: clamp(st.Pos.X+dx, p.Core.XLo, p.Core.XHi),
-		Y: clamp(st.Pos.Y+dy, p.Core.YLo, p.Core.YHi),
-	}
-	return r.try(i, st, mcDisplace)
-}
-
-func (r *refinePass) tryPinMove(i int) bool {
-	p := r.p
-	u := r.src.Intn(p.Units(i))
-	st := p.State(i)
-	st.Units[u] = randomUnitAssign(p, i, u, r.src)
-	return r.try(i, st, mcPin)
-}
-
-func (r *refinePass) try(i int, st CellState, class moveClass) bool {
-	p := r.p
-	before := p.Cost()
-	old := p.State(i)
-	p.SetState(i, st)
-	delta := p.Cost() - before
-	ok := r.ctl.Accept(delta)
-	if r.tel != nil {
-		r.record(class, delta, ok)
-	}
-	if ok {
-		return true
-	}
-	p.SetState(i, old)
-	return false
 }

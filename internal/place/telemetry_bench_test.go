@@ -8,10 +8,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// newBenchStage1 builds a ready-to-move stage1 harness over the standard
+// newBenchStage1 builds a ready-to-move Stage 1 harness over the standard
 // 25-cell test circuit, mirroring RunStage1Ctx's setup, so benchmarks and
 // allocation tests can drive the inner loop directly.
-func newBenchStage1(tb testing.TB, tel *telemetry.Tracer, seed uint64) *stage1 {
+func newBenchStage1(tb testing.TB, tel *telemetry.Tracer, seed uint64) *annealRun {
 	tb.Helper()
 	p := newTestPlacement(tb, 25, true)
 	src := rng.New(seed)
@@ -19,17 +19,13 @@ func newBenchStage1(tb testing.TB, tel *telemetry.Tracer, seed uint64) *stage1 {
 	p.P2 = CalibrateP2(p, 0.5, src, 5)
 	opt := Options{Seed: seed, Tel: tel}
 	opt.fill()
-	var expArea int64
-	for i := range p.Circuit.Cells {
-		expArea += p.Tiles(i).Area()
-	}
-	st := anneal.ScaleFactor(float64(expArea) / float64(len(p.Circuit.Cells)))
+	st := scaleFactor(p)
 	ctl := anneal.NewController(stage1Config(opt, st, p.Core, len(p.Circuit.Cells)), src.Split())
 	if !ctl.Next() {
 		tb.Fatal("controller refused to start")
 	}
-	s := &stage1{
-		p: p, ctl: ctl, src: src, opt: opt, st: st,
+	s := &annealRun{
+		p: p, ctl: ctl, src: src, opt: opt, moves: stage1Moves, st: st,
 		movable: p.MovableCells(), resumeInner: -1,
 	}
 	s.initTelemetry()
@@ -38,14 +34,9 @@ func newBenchStage1(tb testing.TB, tel *telemetry.Tracer, seed uint64) *stage1 {
 
 // stage1OneMove performs one inner-loop iteration: the unit the ≤2%
 // telemetry-overhead guard is stated over.
-func stage1OneMove(s *stage1) {
-	pDisp := s.opt.R / (s.opt.R + 1)
+func stage1OneMove(s *annealRun) {
 	s.attempts++
-	if s.src.Bool(pDisp) {
-		s.generateDisplacement()
-	} else {
-		s.generateInterchange()
-	}
+	s.moves.generate(s)
 }
 
 // BenchmarkStage1Inner measures the Stage 1 inner loop with telemetry

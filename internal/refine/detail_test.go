@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/channel"
@@ -46,7 +47,7 @@ func TestExtractChannelProblems(t *testing.T) {
 
 func TestValidateEqn22(t *testing.T) {
 	p := stage1Placement(t)
-	res, err := Run(p, Options{Seed: 9, Ac: 20, M: 8})
+	res, err := RunCtx(context.Background(), p, Options{Seed: 9, Ac: 20, M: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

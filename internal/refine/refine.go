@@ -138,18 +138,15 @@ func RegionDensity(g *channel.Graph, r *route.Result) []int {
 	return out
 }
 
-// Run executes the Stage 2 loop on a placement produced by Stage 1.
-func Run(p *place.Placement, opt Options) (*Result, error) {
-	return RunCtx(context.Background(), p, opt)
-}
-
-// RunCtx is Run with cancellation: the context is checked between
-// executions and threaded through the router and the refinement annealer,
-// so a long Stage 2 stops within one inner-loop stride of cancellation. The
-// returned Result reflects the completed executions; the placement keeps
-// whatever refinement had been applied (every intermediate state of Stage 2
-// is a valid placement, so there is no checkpoint — rerunning Stage 2 on
-// the saved Stage 1 placement is cheap and deterministic).
+// RunCtx executes the Stage 2 loop on a placement produced by Stage 1. The
+// context is checked between executions and threaded through the router
+// and the refinement annealer, so a long Stage 2 stops within one
+// inner-loop stride of cancellation. The returned Result reflects the
+// completed executions; the placement keeps the refinement applied so far
+// (an interrupted pass hands back its best step-boundary placement). Every
+// intermediate state of Stage 2 is a valid placement, so there is no
+// checkpoint: rerunning Stage 2 on the saved Stage 1 placement is cheap and
+// deterministic.
 func RunCtx(ctx context.Context, p *place.Placement, opt Options) (*Result, error) {
 	opt.fill()
 	res := &Result{}

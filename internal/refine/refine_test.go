@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/channel"
@@ -87,7 +88,7 @@ func TestRouterNetsEquivalence(t *testing.T) {
 func TestRunConvergesAndRoutes(t *testing.T) {
 	p := stage1Placement(t)
 	teilAfter1 := p.TEIL()
-	res, err := Run(p, Options{Seed: 3, Ac: 20, M: 8})
+	res, err := RunCtx(context.Background(), p, Options{Seed: 3, Ac: 20, M: 8})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -127,8 +128,8 @@ func TestRunConvergesAndRoutes(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	p1 := stage1Placement(t)
 	p2 := stage1Placement(t)
-	r1, err1 := Run(p1, Options{Seed: 4, Ac: 10, M: 5})
-	r2, err2 := Run(p2, Options{Seed: 4, Ac: 10, M: 5})
+	r1, err1 := RunCtx(context.Background(), p1, Options{Seed: 4, Ac: 10, M: 5})
+	r2, err2 := RunCtx(context.Background(), p2, Options{Seed: 4, Ac: 10, M: 5})
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errors: %v %v", err1, err2)
 	}
@@ -140,7 +141,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestChipAreaConverges(t *testing.T) {
 	p := stage1Placement(t)
-	res, err := Run(p, Options{Seed: 5, Ac: 20, M: 8})
+	res, err := RunCtx(context.Background(), p, Options{Seed: 5, Ac: 20, M: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
