@@ -118,7 +118,7 @@ func TestFsckSmoke(t *testing.T) {
 	if _, err := os.Stat(ppath); !os.IsNotExist(err) {
 		t.Fatalf("placement not quarantined: %v", err)
 	}
-	if _, err := os.Stat(ppath + ".quarantined.1"); err != nil {
+	if _, err := os.Stat(ppath + ".quarantined.0"); err != nil {
 		t.Fatalf("quarantined copy missing: %v", err)
 	}
 

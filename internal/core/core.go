@@ -42,8 +42,6 @@ type Options struct {
 	// Iterations is the number of Stage 2 refinement executions
 	// (default 3).
 	Iterations int
-	// Mu is the Stage 2 initial window fraction (default 0.03).
-	Mu float64
 	// UseDr switches displacement-point selection to D_r (ablation).
 	UseDr bool
 	// Starts is the number of independent Stage 1 anneals; the trial with
@@ -155,9 +153,9 @@ type Start struct {
 	// annealing parameters are replayed from the checkpoint itself,
 	// including the Stage 2 seed derivation from its Seed/Ac/Rho/MaxSteps,
 	// so the final layout is bit-identical to the uninterrupted run;
-	// Options supply only the Stage 2 shape (Iterations, M, Mu,
-	// SkipStage2), Workers, and the checkpoint-control fields of the
-	// continued run, and Starts/Replicas are ignored.
+	// Options supply only the Stage 2 shape (Iterations, M, SkipStage2),
+	// Workers, and the checkpoint-control fields of the continued run, and
+	// Starts/Replicas are ignored.
 	Checkpoint *place.AnyCheckpoint
 	// Placement is a layout saved with place.WritePlacement: Run skips
 	// Stage 1 and runs Stage 2 only (channel definition, global routing,
@@ -274,7 +272,6 @@ func handOff(ctx context.Context, p *place.Placement, s1 place.Result, teil floa
 		Seed:       seed + 0x5eed,
 		Iterations: opt.Iterations,
 		Ac:         opt.Ac,
-		Mu:         opt.Mu,
 		Rho:        opt.Rho,
 		M:          opt.M,
 		MaxSteps:   opt.MaxSteps,

@@ -1,15 +1,10 @@
 package jobs
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
-	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/faultinject"
@@ -39,24 +34,13 @@ import (
 // pending claim older than digestPendingGrace is treated as abandoned (the
 // claimant crashed between claim and publish) and superseded the same way.
 const (
-	indexDirName  = "index"
-	idemDirName   = "idem"
-	digestDirName = "digest"
-	IndexVersion  = 1
+	IndexVersion = 1
 	// maxIndexLine bounds one entry's JSON payload.
 	maxIndexLine = 1 << 16
 	// digestPendingGrace is how long a pending (unpublished) digest claim
 	// stays authoritative before followers may supersede it. It must
 	// comfortably cover the claim→create→publish window (a few fsyncs).
 	digestPendingGrace = 10 * time.Second
-)
-
-// IdemFileRe matches idempotency index file names; DigestGenRe matches
-// digest generation file names. Exported for the scrubber.
-var (
-	IdemFileRe  = regexp.MustCompile(`^k([0-9a-f]{64})\.twk$`)
-	DigestGenRe = regexp.MustCompile(`^g(\d{6,})\.twd$`)
-	DigestDirRe = regexp.MustCompile(`^[0-9a-f]{64}$`)
 )
 
 // IndexEntry is one dedupe index record.
@@ -126,31 +110,6 @@ func DecodeIndexEntry(data []byte) (IndexEntry, error) {
 		return e, fmt.Errorf("jobs: index entry: bad job ID %.40q", e.Job)
 	}
 	return e, nil
-}
-
-// ReadIndexEntryFile reads and decodes one index entry file.
-func ReadIndexEntryFile(path string) (IndexEntry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return IndexEntry{}, err
-	}
-	return DecodeIndexEntry(data)
-}
-
-// IdemDir and DigestIndexDir return a store root's index directories
-// (shared with the scrubber and GC, which walk stores offline).
-func IdemDir(root string) string        { return filepath.Join(root, indexDirName, idemDirName) }
-func DigestIndexDir(root string) string { return filepath.Join(root, indexDirName, digestDirName) }
-
-// IdemFileName returns the index file name for a tenant-scoped idempotency
-// key: keys are client-chosen strings, so the name is a hash and the raw
-// key lives inside the entry for verification.
-func IdemFileName(tenant, key string) string {
-	h := sha256.New()
-	h.Write([]byte(canonTenant(tenant)))
-	h.Write([]byte{0})
-	h.Write([]byte(key))
-	return "k" + hex.EncodeToString(h.Sum(nil)) + ".twk"
 }
 
 // ErrIdemConflict is returned by SubmitIdem when an idempotency key is
@@ -274,40 +233,31 @@ func (c *DigestClaim) Abandon() {
 }
 
 // currentDigestEntry returns the highest-generation entry for the digest
-// (gen 0 when none exist). Corrupt entries at the top of the chain are
-// quarantined — freeing their generation number — and the scan retries.
+// (gen 0 when none exist), decoding only that one file. Corrupt entries at
+// the top of the chain are quarantined — freeing their generation number —
+// and the scan retries.
 func (s *Store) currentDigestEntry(dir string) (IndexEntry, int, error) {
 	for {
-		entries, err := os.ReadDir(dir)
+		gens, err := readDigestDir(dir)
 		if os.IsNotExist(err) {
 			return IndexEntry{}, 0, nil
 		}
 		if err != nil {
 			return IndexEntry{}, 0, fmt.Errorf("jobs: digest index: %w", err)
 		}
-		maxGen, name := 0, ""
-		for _, de := range entries {
-			m := DigestGenRe.FindStringSubmatch(de.Name())
-			if m == nil {
-				continue
-			}
-			if g, _ := strconv.Atoi(m[1]); g > maxGen {
-				maxGen, name = g, de.Name()
-			}
-		}
-		if maxGen == 0 {
+		if len(gens) == 0 {
 			return IndexEntry{}, 0, nil
 		}
-		path := filepath.Join(dir, name)
-		e, derr := ReadIndexEntryFile(path)
+		top := gens[len(gens)-1]
+		e, derr := ReadIndexEntryFile(top.Path)
 		if derr == nil {
-			return e, maxGen, nil
+			return e, top.Gen, nil
 		}
 		if os.IsNotExist(derr) {
 			continue // lost a race with a quarantine or GC; rescan
 		}
-		s.logf("jobs: quarantining corrupt digest entry %s: %v", path, derr)
-		s.quarantine(path)
+		s.logf("jobs: quarantining corrupt digest entry %s: %v", top.Path, derr)
+		s.quarantine(top.Path)
 	}
 }
 
@@ -387,7 +337,7 @@ func (s *Store) ClaimDigest(digest string) (*DigestClaim, IndexEntry, error) {
 		if err := faultinject.Err(faultinject.JobsDedupClaim); err != nil {
 			return nil, IndexEntry{}, fmt.Errorf("jobs: digest index: %w", err)
 		}
-		path := filepath.Join(dir, fmt.Sprintf("g%06d.twd", pending.Gen))
+		path := digestGenPath(dir, pending.Gen)
 		cerr := fsio.CreateExclusive(path, data, 0o644)
 		if cerr == nil {
 			return &DigestClaim{store: s, path: path, entry: pending}, IndexEntry{}, nil
@@ -403,26 +353,19 @@ func (s *Store) ClaimDigest(digest string) (*DigestClaim, IndexEntry, error) {
 
 // DigestEntries returns every generation entry recorded for a digest, in
 // generation order, skipping (not quarantining) undecodable files. The
-// chaos verifier and tests use it; the scrubber walks the files itself.
+// chaos verifier and tests use it.
 func (s *Store) DigestEntries(digest string) []IndexEntry {
 	hx, ok := digestHex(digest)
 	if !ok {
 		return nil
 	}
-	dir := filepath.Join(DigestIndexDir(s.root), hx)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
+	gens, _ := readDigestDir(filepath.Join(DigestIndexDir(s.root), hx))
 	var out []IndexEntry
-	for _, de := range entries {
-		if DigestGenRe.MatchString(de.Name()) {
-			if e, err := ReadIndexEntryFile(filepath.Join(dir, de.Name())); err == nil {
-				out = append(out, e)
-			}
+	for _, g := range gens {
+		if e, err := ReadIndexEntryFile(g.Path); err == nil {
+			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Gen < out[b].Gen })
 	return out
 }
 
@@ -458,33 +401,15 @@ func (s *Store) ResolveResult(j *Job) (*Job, error) {
 }
 
 // VerifyCachedResult checks a succeeded source job's result artifacts
-// against the CRCs its succeeded record journaled, so the dedupe cache
-// never fans out silently rotted bytes. Records written before checksums
-// existed (both CRCs zero) fall back to a parse check of result.json.
+// against the CRCs its succeeded record journaled (CheckArtifacts), so the
+// dedupe cache never fans out silently rotted bytes.
 func VerifyCachedResult(src *Job) error {
 	last := src.Last()
 	if last.State != StateSucceeded {
 		return fmt.Errorf("jobs: %s: not succeeded (%s)", src.ID, last.State)
 	}
-	if last.PlacementCRC == 0 && last.ResultCRC == 0 {
-		if _, err := src.ReadResult(); err != nil {
-			return fmt.Errorf("jobs: %s: cached result unreadable: %w", src.ID, err)
-		}
-		return nil
-	}
-	pb, err := os.ReadFile(src.PlacementPath())
-	if err != nil {
-		return fmt.Errorf("jobs: %s: cached placement: %w", src.ID, err)
-	}
-	if got := frame.Checksum(pb); got != last.PlacementCRC {
-		return fmt.Errorf("jobs: %s: cached placement CRC %08x, journal says %08x", src.ID, got, last.PlacementCRC)
-	}
-	rb, err := os.ReadFile(src.ResultPath())
-	if err != nil {
-		return fmt.Errorf("jobs: %s: cached result: %w", src.ID, err)
-	}
-	if got := frame.Checksum(rb); got != last.ResultCRC {
-		return fmt.Errorf("jobs: %s: cached result CRC %08x, journal says %08x", src.ID, got, last.ResultCRC)
+	if _, faults := CheckArtifacts(src.dir, last); len(faults) > 0 {
+		return fmt.Errorf("jobs: %s: cached %s: %w", src.ID, faults[0].Kind, faults[0].Err)
 	}
 	return nil
 }

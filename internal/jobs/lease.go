@@ -32,9 +32,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -44,19 +42,12 @@ import (
 	"repro/internal/invariant"
 )
 
-// Lease layer file layout inside a job directory and the store root.
 const (
-	claimsDir     = "claims" // <job>/claims/t%08d + hb
-	heartbeatFile = "hb"     // holder-refreshed expiry extension
-	nodesDirName  = "nodes"  // <root>/nodes/<id>.twl node heartbeats
 	// LeaseVersion is bumped on any incompatible lease-record change.
 	LeaseVersion = 1
 	// maxLeaseLine bounds one lease record's JSON payload.
 	maxLeaseLine = 1 << 16
 )
-
-// claimFileRe matches claim file names ("t" + eight or more digits).
-var claimFileRe = regexp.MustCompile(`^t(\d{8,})$`)
 
 // ErrFenced is returned by lease validation (and every fenced durable
 // write) when a newer claim has superseded the caller's token: the job was
@@ -164,76 +155,35 @@ func (ls *leaseState) heldBy(now time.Time) (string, bool) {
 	return eff.Node, true
 }
 
-// readLeaseState scans a job directory's claims/ subdir. A missing subdir
-// is an empty state (never-claimed job); unreadable claim files degrade to
-// filename-only entries, never errors — the lease layer must keep working
-// on a store a crash tore up.
+// readLeaseState reads a job directory's claim chain and heartbeat. A
+// missing claims directory is an empty state (never-claimed job); torn
+// claim files still count by name, never as errors — the lease layer must
+// keep working on a store a crash tore up.
 func readLeaseState(dir string) (leaseState, error) {
 	var ls leaseState
-	cdir := filepath.Join(dir, claimsDir)
-	entries, err := os.ReadDir(cdir)
+	chain, err := ReadClaimChain(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return ls, nil
-		}
 		return ls, fmt.Errorf("jobs: lease state %s: %w", dir, err)
 	}
-	for _, e := range entries {
-		m := claimFileRe.FindStringSubmatch(e.Name())
-		if m == nil {
-			continue
-		}
-		tok, perr := strconv.ParseUint(m[1], 10, 64)
-		if perr != nil || tok == 0 {
-			continue
-		}
-		if tok <= ls.maxToken {
-			continue
-		}
-		ls.maxToken = tok
-		ls.top = LeaseRecord{}
-		if data, rerr := os.ReadFile(filepath.Join(cdir, e.Name())); rerr == nil {
-			if rec, derr := DecodeLeaseRecord(data); derr == nil && rec.Token == tok {
-				ls.top = rec
-			}
-		}
+	if len(chain) == 0 {
+		return ls, nil
 	}
-	if data, rerr := os.ReadFile(filepath.Join(cdir, heartbeatFile)); rerr == nil {
-		if rec, derr := DecodeLeaseRecord(data); derr == nil {
-			ls.hb = rec
-		}
-	}
+	top := chain[len(chain)-1]
+	ls.maxToken, ls.top = top.Token, top.Record
+	ls.hb, _ = ReadHeartbeat(dir)
 	return ls, nil
 }
 
-// claimTokens lists every claim token present in dir, sorted ascending,
-// with the decoded record (zero-valued for torn claims). Used by AuditLease.
+// claimTokens maps every claim token present in dir to its decoded record
+// (zero-valued for torn claims). Used by AuditLease.
 func claimTokens(dir string) (map[uint64]LeaseRecord, error) {
-	out := map[uint64]LeaseRecord{}
-	cdir := filepath.Join(dir, claimsDir)
-	entries, err := os.ReadDir(cdir)
+	chain, err := ReadClaimChain(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return out, nil
-		}
 		return nil, err
 	}
-	for _, e := range entries {
-		m := claimFileRe.FindStringSubmatch(e.Name())
-		if m == nil {
-			continue
-		}
-		tok, perr := strconv.ParseUint(m[1], 10, 64)
-		if perr != nil || tok == 0 {
-			continue
-		}
-		rec := LeaseRecord{}
-		if data, rerr := os.ReadFile(filepath.Join(cdir, e.Name())); rerr == nil {
-			if r, derr := DecodeLeaseRecord(data); derr == nil && r.Token == tok {
-				rec = r
-			}
-		}
-		out[tok] = rec
+	out := make(map[uint64]LeaseRecord, len(chain))
+	for _, c := range chain {
+		out[c.Token] = c.Record
 	}
 	return out, nil
 }
@@ -301,11 +251,10 @@ func (s *Store) Claim(j *Job, ttl time.Duration) (l *Lease, prev LeaseRecord, er
 	if err != nil {
 		return nil, LeaseRecord{}, err
 	}
-	cdir := filepath.Join(j.dir, claimsDir)
-	if err := os.MkdirAll(cdir, 0o755); err != nil {
+	path := claimPath(j.dir, token)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, LeaseRecord{}, fmt.Errorf("jobs: claim %s: %w", j.ID, err)
 	}
-	path := filepath.Join(cdir, fmt.Sprintf("t%08d", token))
 	if err := fsio.CreateExclusive(path, data, 0o644); err != nil {
 		if errors.Is(err, fsio.ErrExists) {
 			// Lost the race: someone else created this token first.
@@ -345,7 +294,7 @@ func (l *Lease) writeHeartbeat(rec LeaseRecord) error {
 	if err != nil {
 		return err
 	}
-	werr := fsio.WriteFileAtomic(filepath.Join(l.job.dir, claimsDir, heartbeatFile), data, 0o644)
+	werr := fsio.WriteFileAtomic(leaseHeartbeatPath(l.job.dir), data, 0o644)
 	l.job.store.noteWrite(werr)
 	return werr
 }
@@ -476,16 +425,9 @@ func (s *Store) GCLeases(retention time.Duration) (int, error) {
 	now := leaseNow()
 	removed := 0
 	// Stale node liveness advertisements.
-	ndir := filepath.Join(s.root, nodesDirName)
-	if entries, err := os.ReadDir(ndir); err == nil {
-		for _, e := range entries {
-			if nodeHeartbeatRe.FindStringSubmatch(e.Name()) == nil {
-				continue
-			}
-			path := filepath.Join(ndir, e.Name())
-			if leaseFileStale(path, now, retention) && os.Remove(path) == nil {
-				removed++
-			}
+	for _, hb := range readNodeHeartbeats(s.root) {
+		if hb.stale(now, retention) && os.Remove(hb.Path) == nil {
+			removed++
 		}
 	}
 	// Superseded claims and dead heartbeats of terminal jobs. Live jobs are
@@ -496,61 +438,25 @@ func (s *Store) GCLeases(retention time.Duration) (int, error) {
 		if !j.Last().State.Terminal() {
 			continue
 		}
-		cdir := filepath.Join(j.dir, claimsDir)
-		entries, err := os.ReadDir(cdir)
-		if err != nil {
+		chain, err := ReadClaimChain(j.dir)
+		if err != nil || len(chain) == 0 {
 			continue
 		}
-		var maxTok uint64
-		for _, e := range entries {
-			if m := claimFileRe.FindStringSubmatch(e.Name()); m != nil {
-				if tok, perr := strconv.ParseUint(m[1], 10, 64); perr == nil && tok > maxTok {
-					maxTok = tok
-				}
-			}
-		}
-		for _, e := range entries {
-			m := claimFileRe.FindStringSubmatch(e.Name())
-			if m == nil {
-				continue
-			}
-			tok, perr := strconv.ParseUint(m[1], 10, 64)
-			if perr != nil || tok >= maxTok {
-				continue // the high-water mark stays, always
-			}
-			path := filepath.Join(cdir, e.Name())
-			if fi, serr := os.Stat(path); serr == nil && now.Sub(fi.ModTime()) > retention {
-				if os.Remove(path) == nil {
+		// The last claim is the high-water mark and stays, always.
+		for _, c := range chain[:len(chain)-1] {
+			if fi, serr := os.Stat(c.Path); serr == nil && now.Sub(fi.ModTime()) > retention {
+				if os.Remove(c.Path) == nil {
 					removed++
 				}
 			}
 		}
-		hbPath := filepath.Join(cdir, heartbeatFile)
-		if leaseFileStale(hbPath, now, retention) && os.Remove(hbPath) == nil {
+		hb := readLeaseFile(leaseHeartbeatPath(j.dir))
+		if hb.stale(now, retention) && os.Remove(hb.Path) == nil {
 			removed++
 		}
 	}
 	return removed, nil
 }
-
-// leaseFileStale reports whether the lease record at path has been dead
-// (expired or released) for longer than retention. A missing file is not
-// stale; an undecodable one is aged by its mtime.
-func leaseFileStale(path string, now time.Time, retention time.Duration) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false
-	}
-	rec, derr := DecodeLeaseRecord(data)
-	if derr != nil {
-		fi, serr := os.Stat(path)
-		return serr == nil && now.Sub(fi.ModTime()) > retention
-	}
-	return now.Sub(rec.Expires) > retention
-}
-
-// nodeHeartbeatRe matches node heartbeat file names.
-var nodeHeartbeatRe = regexp.MustCompile(`^(.+)\.twl$`)
 
 // WriteNodeHeartbeat advertises this node as alive in <root>/nodes/, with a
 // TTL-bounded expiry. Peers (and the load-shedding readyz path) count live
@@ -565,18 +471,18 @@ func (s *Store) WriteNodeHeartbeat(ttl time.Duration) error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Join(s.root, nodesDirName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	path := nodeHeartbeatPath(s.root, node)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("jobs: node heartbeat: %w", err)
 	}
-	return fsio.WriteFileAtomic(filepath.Join(dir, node+".twl"), data, 0o644)
+	return fsio.WriteFileAtomic(path, data, 0o644)
 }
 
 // RemoveNodeHeartbeat withdraws this node's liveness advertisement (clean
 // shutdown); best-effort.
 func (s *Store) RemoveNodeHeartbeat() {
 	if node := s.NodeID(); node != "" {
-		_ = os.Remove(filepath.Join(s.root, nodesDirName, node+".twl"))
+		_ = os.Remove(nodeHeartbeatPath(s.root, node))
 	}
 }
 
@@ -586,24 +492,11 @@ func AliveNodes(roots []string, self string) []string {
 	now := leaseNow()
 	seen := map[string]bool{}
 	for _, root := range roots {
-		entries, err := os.ReadDir(filepath.Join(root, nodesDirName))
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			m := nodeHeartbeatRe.FindStringSubmatch(e.Name())
-			if m == nil || m[1] == self {
+		for _, hb := range readNodeHeartbeats(root) {
+			if hb.Node == self || hb.Err != nil || hb.Rec.Node != hb.Node || !now.Before(hb.Rec.Expires) {
 				continue
 			}
-			data, err := os.ReadFile(filepath.Join(root, nodesDirName, e.Name()))
-			if err != nil {
-				continue
-			}
-			rec, err := DecodeLeaseRecord(data)
-			if err != nil || rec.Node != m[1] || !now.Before(rec.Expires) {
-				continue
-			}
-			seen[rec.Node] = true
+			seen[hb.Node] = true
 		}
 	}
 	out := make([]string, 0, len(seen))

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/frame"
 	"repro/internal/fsio"
 	"repro/internal/netlist"
 	"repro/internal/par"
@@ -1462,33 +1461,15 @@ func (m *Manager) finish(j *Job, c *netlist.Circuit, res *core.Result, out *outc
 	return nil
 }
 
-// writePlacement persists the final placement atomically and durably, then
-// reads the file back and byte-compares it: a torn write on the result
-// artifact must fail the attempt (retryable) rather than ever surfacing as a
-// corrupt placement to a client. It returns the CRC-32/Castagnoli of the
-// written bytes for the succeeded journal record.
+// writePlacement persists the final placement through the verified
+// artifact write and returns the CRC-32/Castagnoli of its bytes for the
+// succeeded journal record.
 func (m *Manager) writePlacement(j *Job, res *core.Result) (uint32, error) {
-	if err := j.GuardWrite(); err != nil {
-		return 0, err
-	}
 	var buf bytes.Buffer
 	if err := place.WritePlacement(&buf, res.Placement); err != nil {
 		return 0, err
 	}
-	werr := fsio.WriteFileAtomic(j.PlacementPath(), buf.Bytes(), 0o644)
-	m.store.noteWrite(werr)
-	if werr != nil {
-		return 0, werr
-	}
-	got, err := os.ReadFile(j.PlacementPath())
-	if err != nil {
-		return 0, fmt.Errorf("jobs: placement %s: read-back: %w", j.ID, err)
-	}
-	if !bytes.Equal(got, buf.Bytes()) {
-		return 0, fmt.Errorf("jobs: placement %s: read-back mismatch: wrote %d bytes, file has %d",
-			j.ID, buf.Len(), len(got))
-	}
-	return frame.Checksum(buf.Bytes()), nil
+	return j.writeArtifact(placementFile, buf.Bytes())
 }
 
 // loadCheckpoint returns the job's checkpoint if present and valid for c,

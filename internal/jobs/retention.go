@@ -30,10 +30,8 @@ func (s *Store) GCJobs(retention time.Duration) (int, error) {
 	cutoff := time.Now().Add(-retention)
 	jobs := s.List()
 	maxID := ""
-	for _, j := range jobs {
-		if j.ID > maxID {
-			maxID = j.ID
-		}
+	if len(jobs) > 0 {
+		maxID = jobs[len(jobs)-1].ID // List is in ID order
 	}
 	expired := map[string]*Job{}
 	for _, j := range jobs {
@@ -107,33 +105,15 @@ func (s *Store) gcIndex() {
 			s.logf("jobs: retention gc index %s: %v", path, err)
 		}
 	}
-	if files, err := os.ReadDir(IdemDir(s.root)); err == nil {
-		for _, f := range files {
-			if IdemFileRe.MatchString(f.Name()) {
-				drop(filepath.Join(IdemDir(s.root), f.Name()))
-			}
-		}
+	ix := ReadIndex(s.root)
+	for _, f := range ix.Idem {
+		drop(f.Path)
 	}
-	digestRoot := DigestIndexDir(s.root)
-	dirs, err := os.ReadDir(digestRoot)
-	if err != nil {
-		return
-	}
-	for _, d := range dirs {
-		if !d.IsDir() || !DigestDirRe.MatchString(d.Name()) {
-			continue
-		}
-		dir := filepath.Join(digestRoot, d.Name())
-		files, err := os.ReadDir(dir)
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if DigestGenRe.MatchString(f.Name()) {
-				drop(filepath.Join(dir, f.Name()))
-			}
+	for _, d := range ix.Digests {
+		for _, g := range d.Gens {
+			drop(g.Path)
 		}
 		// An emptied digest directory disappears with its entries.
-		os.Remove(dir)
+		os.Remove(d.Dir)
 	}
 }

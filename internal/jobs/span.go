@@ -20,9 +20,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// spansFile is the append-only span file inside a job directory.
-const spansFile = "spans.tws"
-
 // SpanPath returns the job's span file path.
 func (j *Job) SpanPath() string { return filepath.Join(j.dir, spansFile) }
 

@@ -1,41 +1,21 @@
 package jobs
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/frame"
 	"repro/internal/fsio"
 	"repro/internal/invariant"
 )
-
-// File names inside a job directory.
-const (
-	specFile       = "spec.json"
-	journalFile    = "journal.twj"
-	checkpointFile = "checkpoint.ck"
-	resultFile     = "result.json"
-	placementFile  = "placement.tw"
-	// tmpJobPrefix marks an under-construction job directory awaiting its
-	// atomic rename-publish; scans skip it, Open removes stale ones.
-	tmpJobPrefix = ".tmp-j"
-)
-
-// jobDirRe matches job directory names ("j" + six or more digits).
-var jobDirRe = regexp.MustCompile(`^j(\d{6,})$`)
 
 // Job is one stored job: its immutable spec plus the mutable status
 // journal. All journal access goes through the job's mutex; the journal
@@ -167,7 +147,7 @@ func (j *Job) AppendOpts(state State, attempt int, detail string, opts RecordOpt
 	if err := faultinject.Err(faultinject.JobsJournalBefore); err != nil {
 		return rec, fmt.Errorf("jobs: journal %s: %w", j.ID, err)
 	}
-	werr := fsio.WriteFileAtomic(filepath.Join(j.dir, journalFile), data, 0o644)
+	werr := fsio.WriteFileAtomic(JournalPath(j.dir), data, 0o644)
 	j.store.noteWrite(werr)
 	if werr != nil {
 		return rec, fmt.Errorf("jobs: journal %s: %w", j.ID, werr)
@@ -218,13 +198,7 @@ func (j *Job) Reload() {
 // caller saw fail); a shorter or defective on-disk journal never truncates
 // the in-memory view.
 func (j *Job) reloadLocked() {
-	f, err := os.Open(filepath.Join(j.dir, journalFile))
-	if err != nil {
-		return
-	}
-	recs, _ := DecodeJournal(f)
-	f.Close()
-	if len(recs) >= len(j.records) {
+	if recs, _ := ReadJournalDir(j.dir); len(recs) >= len(j.records) {
 		j.records = recs
 	}
 }
@@ -302,33 +276,8 @@ func Open(root string, logf func(string, ...any)) (*Store, error) {
 		return nil, fmt.Errorf("jobs: open store: %w", err)
 	}
 	s := &Store{root: root, logf: logf, jobs: map[string]*Job{}}
-	entries, err := os.ReadDir(root)
-	if err != nil {
+	if _, err := s.scan(true); err != nil {
 		return nil, fmt.Errorf("jobs: open store: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), tmpJobPrefix) {
-			// A crash mid-Create leaves an unpublished temp dir behind. A
-			// peer may still be mid-Create right now, so only clearly stale
-			// ones are removed.
-			if fi, err := e.Info(); err == nil && time.Since(fi.ModTime()) > time.Hour {
-				s.logf("jobs: removing stale create-temp dir %s", e.Name())
-				os.RemoveAll(filepath.Join(root, e.Name()))
-			}
-			continue
-		}
-		m := jobDirRe.FindStringSubmatch(e.Name())
-		if m == nil || !e.IsDir() {
-			continue
-		}
-		n, _ := strconv.Atoi(m[1])
-		if n > s.seq {
-			s.seq = n
-		}
-		job, ok := s.loadJob(e.Name())
-		if ok {
-			s.jobs[job.ID] = job
-		}
 	}
 	return s, nil
 }
@@ -338,27 +287,41 @@ func Open(root string, logf func(string, ...any)) (*Store, error) {
 // — anything new. It returns the newly loaded jobs ordered by ID. The
 // fleet-mode manager calls this on every scan tick.
 func (s *Store) Rescan() []*Job {
-	entries, err := os.ReadDir(s.root)
+	added, err := s.scan(false)
 	if err != nil {
 		s.logf("jobs: rescan: %v", err)
-		return nil
+	}
+	return added
+}
+
+// scan lists the root, advances the ID sequence past every job directory
+// on disk, and loads the ones not yet known, in ID order. With sweep set
+// (Open) it also removes stale create-temp directories: a crash mid-Create
+// leaves an unpublished temp dir behind, and a peer may still be mid-Create
+// right now, so only ones older than an hour go.
+func (s *Store) scan(sweep bool) ([]*Job, error) {
+	ids, temps, err := listRoot(s.root)
+	if err != nil {
+		return nil, err
+	}
+	if sweep {
+		for _, e := range temps {
+			if fi, err := e.Info(); err == nil && time.Since(fi.ModTime()) > time.Hour {
+				s.logf("jobs: removing stale create-temp dir %s", e.Name())
+				os.RemoveAll(filepath.Join(s.root, e.Name()))
+			}
+		}
 	}
 	var added []*Job
-	for _, e := range entries {
-		m := jobDirRe.FindStringSubmatch(e.Name())
-		if m == nil || !e.IsDir() {
-			continue
-		}
+	for _, id := range ids {
 		s.mu.Lock()
-		_, known := s.jobs[e.Name()]
-		if n, _ := strconv.Atoi(m[1]); n > s.seq {
-			s.seq = n
-		}
+		_, known := s.jobs[id]
+		s.seq = max(s.seq, jobSeq(id))
 		s.mu.Unlock()
 		if known {
 			continue
 		}
-		job, ok := s.loadJob(e.Name())
+		job, ok := s.loadJob(id)
 		if !ok {
 			continue
 		}
@@ -369,103 +332,68 @@ func (s *Store) Rescan() []*Job {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(added, func(a, b int) bool { return added[a].ID < added[b].ID })
-	return added
-}
-
-// ReadSpecDir reads and validates the spec stored in a job directory,
-// without opening the store. Offline analyzers (internal/obs) use it to
-// recover per-job metadata — notably the tenant — straight from the
-// durable artifacts.
-func ReadSpecDir(dir string) (Spec, error) {
-	data, err := os.ReadFile(filepath.Join(dir, specFile))
-	if err != nil {
-		return Spec{}, err
-	}
-	var spec Spec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return Spec{}, fmt.Errorf("jobs: %s: %w", specFile, err)
-	}
-	if err := spec.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return spec, nil
+	return added, nil
 }
 
 // loadJob reads one job directory, quarantining defects. ok is false when
 // the job is unusable (quarantined wholesale).
 func (s *Store) loadJob(id string) (*Job, bool) {
 	dir := filepath.Join(s.root, id)
-	specData, err := os.ReadFile(filepath.Join(dir, specFile))
-	var spec Spec
-	if err == nil {
-		err = json.Unmarshal(specData, &spec)
-		if err == nil {
-			err = spec.Validate()
-		}
-	}
+	spec, err := ReadSpecDir(dir)
 	if err != nil {
 		s.logf("jobs: quarantining job %s: bad spec: %v", id, err)
 		s.quarantine(dir)
 		return nil, false
 	}
 	job := &Job{ID: id, Spec: spec, dir: dir, store: s}
-	jpath := filepath.Join(dir, journalFile)
-	f, err := os.Open(jpath)
+	// A missing journal (a crash between mkdir and the first journal write)
+	// reads as empty: the job is freshly queued.
+	recs, err := ReadJournalDir(dir)
+	job.records = recs
 	switch {
-	case os.IsNotExist(err):
-		// A crash between mkdir and the first journal write: treat as
-		// freshly queued.
-	case err != nil:
+	case err == nil:
+	case journalOpenFailed(err):
 		s.logf("jobs: quarantining job %s: journal: %v", id, err)
 		s.quarantine(dir)
 		return nil, false
 	default:
-		recs, derr := DecodeJournal(f)
-		f.Close()
-		job.records = recs
-		if derr != nil {
-			// Keep the valid prefix; set the damaged file aside so the
-			// next journal write starts from known-good state.
-			s.logf("jobs: job %s: quarantining corrupt journal (keeping %d valid records): %v",
-				id, len(recs), derr)
-			s.quarantine(jpath)
-			if data, eerr := EncodeJournal(recs); eerr == nil {
-				if werr := fsio.WriteFileAtomic(jpath, data, 0o644); werr != nil {
-					s.logf("jobs: job %s: rewrite journal: %v", id, werr)
-				}
-			}
+		// Keep the valid prefix; set the damaged file aside so the next
+		// journal write starts from known-good state.
+		s.logf("jobs: job %s: quarantining corrupt journal (keeping %d valid records): %v",
+			id, len(recs), err)
+		setAside, rerr := RepairJournal(dir, recs)
+		if setAside {
+			s.countQuarantined()
 		}
-		// Invariant jobs.journal: whatever survived decode (and possible
-		// prefix-trimming) must satisfy the whole-journal state machine.
-		if invariant.Enabled() {
-			if ierr := CheckJournal(job.records); ierr != nil {
-				invariant.Failf("jobs.journal", "job %s: %v", id, ierr)
-			}
+		if rerr != nil {
+			s.logf("jobs: job %s: repair journal: %v", id, rerr)
+		}
+	}
+	// Invariant jobs.journal: whatever survived decode (and possible
+	// prefix-trimming) must satisfy the whole-journal state machine.
+	if invariant.Enabled() {
+		if ierr := CheckJournal(job.records); ierr != nil {
+			invariant.Failf("jobs.journal", "job %s: %v", id, ierr)
 		}
 	}
 	return job, true
 }
 
-// quarantine renames path aside with a unique ".quarantined" suffix. It
-// never fails the caller; an impossible rename is only logged. Safe for
-// concurrent use (Rescan loads peer jobs while the manager runs).
+// quarantine sets path aside (Quarantine) and counts it. It never fails the
+// caller; an impossible rename is only logged. Safe for concurrent use
+// (Rescan loads peer jobs while the manager runs).
 func (s *Store) quarantine(path string) {
-	for i := 0; ; i++ {
-		dst := fmt.Sprintf("%s.quarantined.%d", path, i)
-		if _, err := os.Lstat(dst); err == nil {
-			continue
-		}
-		if err := os.Rename(path, dst); err != nil {
-			s.logf("jobs: quarantine %s: %v", path, err)
-		} else {
-			s.mu.Lock()
-			s.quarantined++
-			s.mu.Unlock()
-			_ = fsio.SyncDir(filepath.Dir(path))
-		}
+	if _, err := Quarantine(path); err != nil {
+		s.logf("jobs: quarantine %s: %v", path, err)
 		return
 	}
+	s.countQuarantined()
+}
+
+func (s *Store) countQuarantined() {
+	s.mu.Lock()
+	s.quarantined++
+	s.mu.Unlock()
 }
 
 // QuarantineFile sets a damaged file aside (used by the manager when a
@@ -569,7 +497,7 @@ func (s *Store) create(spec Spec, seal func(*Job) error) (*Job, error) {
 		return nil, fmt.Errorf("jobs: create: %w", err)
 	}
 	job := &Job{Spec: spec, dir: tmp, store: s}
-	if err := fsio.WriteFileAtomic(filepath.Join(tmp, specFile), data, 0o644); err != nil {
+	if err := fsio.WriteFileAtomic(SpecFilePath(tmp), data, 0o644); err != nil {
 		s.noteWrite(err)
 		os.RemoveAll(tmp)
 		return nil, err
@@ -632,7 +560,7 @@ func (s *Store) List() []*Job {
 	for _, j := range s.jobs {
 		out = append(out, j)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	slices.SortFunc(out, func(a, b *Job) int { return CompareJobIDs(a.ID, b.ID) })
 	return out
 }
 
@@ -717,30 +645,11 @@ type ResultInfo struct {
 // a succeeded record journals so the dedupe cache and twfsck can detect rot
 // at rest (result.json has no internal framing of its own).
 func (j *Job) WriteResult(info *ResultInfo) (uint32, error) {
-	// Fencing: a stale lease must never publish a result over the
-	// reclaimer's. No-op when the job carries no lease (single-node mode).
-	if err := j.GuardWrite(); err != nil {
-		return 0, err
-	}
 	data, err := json.MarshalIndent(info, "", "  ")
 	if err != nil {
 		return 0, fmt.Errorf("jobs: result %s: %w", j.ID, err)
 	}
-	data = append(data, '\n')
-	werr := fsio.WriteFileAtomic(j.ResultPath(), data, 0o644)
-	j.store.noteWrite(werr)
-	if werr != nil {
-		return 0, werr
-	}
-	got, rerr := os.ReadFile(j.ResultPath())
-	if rerr != nil {
-		return 0, fmt.Errorf("jobs: result %s: read-back: %w", j.ID, rerr)
-	}
-	if !bytes.Equal(got, data) {
-		return 0, fmt.Errorf("jobs: result %s: read-back mismatch: wrote %d bytes, file has %d",
-			j.ID, len(data), len(got))
-	}
-	return frame.Checksum(data), nil
+	return j.writeArtifact(resultFile, append(data, '\n'))
 }
 
 // ReadResult loads the job's result.json, if present.

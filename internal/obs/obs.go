@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -142,7 +143,7 @@ func Analyze(roots []string) (*Report, error) {
 			byJob[id] = append(byJob[id], dir)
 		}
 	}
-	sort.Strings(order)
+	slices.SortFunc(order, jobs.CompareJobIDs)
 	for _, id := range order {
 		rep.Jobs = append(rep.Jobs, analyzeJob(id, byJob[id]))
 	}
@@ -175,12 +176,14 @@ func analyzeJob(id string, dirs []string) *JobTimeline {
 		if len(dirRecs) > len(recs) {
 			recs = dirRecs
 		}
-		claims, err := jobs.ClaimChain(dir)
+		claims, err := jobs.ReadClaimChain(dir)
 		if err != nil {
 			jt.finding("lease-audit", "error", fmt.Sprintf("claim chain: %v", err))
 		}
-		for _, cl := range claims {
-			if cl.Node == "" {
+		for _, c := range claims {
+			cl := c.Record
+			if c.Torn {
+				cl.Token = c.Token
 				jt.finding("torn-claim", "warn",
 					fmt.Sprintf("claim t%08d is present but undecodable", cl.Token))
 			}

@@ -318,7 +318,7 @@ func stage1Config(opt Options, st float64, core geom.Rect, numCells int) anneal.
 func refineConfig(opt RefineOptions, st float64, core geom.Rect, numCells int) anneal.Config {
 	cfg := anneal.Config{
 		ST:              st,
-		TInf:            anneal.Stage2StartTemp(opt.Mu, anneal.StartTemp(st), opt.Rho),
+		TInf:            anneal.Stage2StartTemp(anneal.DefaultMu, anneal.StartTemp(st), opt.Rho),
 		Schedule:        anneal.Stage2Schedule(),
 		Ac:              opt.Ac,
 		NumCells:        numCells,

@@ -13,9 +13,6 @@ type RefineOptions struct {
 	Seed uint64
 	// Ac is the number of attempts per cell per temperature.
 	Ac int
-	// Mu is the initial range-limiter window as a fraction of the core
-	// span (Eqn 25); the paper uses 0.03.
-	Mu float64
 	// Rho is the range-limiter shrink rate.
 	Rho float64
 	// StableStop selects the third-iteration stopping criterion: the run
@@ -35,9 +32,6 @@ type RefineOptions struct {
 func (o *RefineOptions) fill() {
 	if o.Ac <= 0 {
 		o.Ac = anneal.DefaultAc
-	}
-	if o.Mu <= 0 {
-		o.Mu = anneal.DefaultMu
 	}
 	if o.Rho <= 0 {
 		o.Rho = 4

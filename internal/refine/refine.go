@@ -25,16 +25,10 @@ type Options struct {
 	// Ac is the attempts-per-cell inner-loop criterion of the refinement
 	// annealer.
 	Ac int
-	// Mu is the initial window fraction (0.03 in the paper).
-	Mu float64
 	// Rho is the range-limiter shrink rate.
 	Rho float64
 	// M is the number of alternative routes per net (§4.2.1).
 	M int
-	// PowerTracks reserves extra tracks in every channel for power and
-	// ground distribution (§5 assumed P/G lines of about twice a normal
-	// wire width in every channel; 4 models that).
-	PowerTracks int
 	// MaxSteps bounds each refinement pass (0 = paper criterion).
 	MaxSteps int
 	// Workers bounds the goroutines of the router's phase one
@@ -209,11 +203,10 @@ func runOnce(ctx context.Context, p *place.Placement, opt Options, iter int, res
 	// classical congestion metric), which is the largest flow over any
 	// incident channel-graph edge — not the count of nets merely touching
 	// the region, which overstates long busy channels.
-	widths := g.DensityWidths(p, RegionDensity(g, routing), opt.PowerTracks)
+	widths := g.DensityWidths(p, RegionDensity(g, routing), 0)
 	rr, err := place.RunRefineCtx(ctx, p, widths, place.RefineOptions{
 		Seed:       opt.Seed + uint64(iter)*104729,
 		Ac:         opt.Ac,
-		Mu:         opt.Mu,
 		Rho:        opt.Rho,
 		StableStop: iter == opt.Iterations-1,
 		MaxSteps:   opt.MaxSteps,

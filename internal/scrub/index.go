@@ -10,7 +10,6 @@ package scrub
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"repro/internal/jobs"
@@ -19,77 +18,57 @@ import (
 // scanIndex verifies both index trees against the job directories scanned
 // earlier (s.digests / s.lastState).
 func (s *scanner) scanIndex(root string) {
-	s.scanIdemIndex(root)
-	s.scanDigestIndex(root)
-}
-
-// scanIdemIndex verifies idempotency-key entries: decodable, filed under
-// the name their tenant+key hash to, pointing at an existing job whose
-// spec content hashes to the recorded digest.
-func (s *scanner) scanIdemIndex(root string) {
-	dir := jobs.IdemDir(root)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return // no idempotency index yet
-	}
-	for _, name := range sortedNames(entries, jobs.IdemFileRe.MatchString) {
-		path := filepath.Join(dir, name)
-		s.rep.Artifacts++
-		e, derr := jobs.ReadIndexEntryFile(path)
-		if derr != nil {
-			// A torn entry is debris the store quarantines on read anyway.
-			s.add(Defect{Kind: "index", Severity: SevWarn, Path: path,
-				Detail: derr.Error(), Repaired: s.quarantine(path)})
+	ix := jobs.ReadIndex(root)
+	// Idempotency-key entries: decodable, filed under the name their
+	// tenant+key hash to, pointing at an existing job whose spec content
+	// hashes to the recorded digest.
+	for _, f := range ix.Idem {
+		e, ok := s.readEntry(f)
+		if !ok {
 			continue
 		}
-		if want := jobs.IdemFileName(e.Tenant, e.Key); want != name {
-			s.add(Defect{Kind: "index", Severity: SevError, Path: path,
+		if want := jobs.IdemFileName(e.Tenant, e.Key); want != filepath.Base(f.Path) {
+			s.add(Defect{Kind: "index", Severity: SevError, Path: f.Path,
 				Detail:   fmt.Sprintf("entry for tenant %q key %q belongs in %s", e.Tenant, e.Key, want),
-				Repaired: s.quarantine(path)})
+				Repaired: s.quarantine(f.Path)})
 			continue
 		}
-		s.checkEntryTarget(path, e)
+		s.checkEntryTarget(f.Path, e)
 	}
-}
-
-// scanDigestIndex verifies digest generation chains: well-named
-// directories, decodable entries, each published generation pointing at a
-// real, non-alias job whose spec re-derives to the directory's digest.
-func (s *scanner) scanDigestIndex(root string) {
-	dir := jobs.DigestIndexDir(root)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return // no digest index yet
-	}
-	for _, hex := range sortedNames(entries, jobs.DigestDirRe.MatchString) {
-		ddir := filepath.Join(dir, hex)
-		want := "sha256:" + hex
-		gens, gerr := os.ReadDir(ddir)
-		if gerr != nil {
-			continue
-		}
-		for _, name := range sortedNames(gens, jobs.DigestGenRe.MatchString) {
-			path := filepath.Join(ddir, name)
-			s.rep.Artifacts++
-			e, derr := jobs.ReadIndexEntryFile(path)
-			if derr != nil {
-				// Torn, as for idem entries: warn and sweep.
-				s.add(Defect{Kind: "index", Severity: SevWarn, Path: path,
-					Detail: derr.Error(), Repaired: s.quarantine(path)})
+	// Digest generation chains: decodable entries, each published
+	// generation pointing at a real, non-alias job whose spec re-derives to
+	// the directory's digest.
+	for _, d := range ix.Digests {
+		for _, f := range d.Gens {
+			e, ok := s.readEntry(f)
+			if !ok {
 				continue
 			}
-			if e.Digest != want {
-				s.add(Defect{Kind: "index", Severity: SevError, Path: path,
-					Detail:   fmt.Sprintf("entry digest %s filed under %s", e.Digest, want),
-					Repaired: s.quarantine(path)})
+			if e.Digest != d.Digest {
+				s.add(Defect{Kind: "index", Severity: SevError, Path: f.Path,
+					Detail:   fmt.Sprintf("entry digest %s filed under %s", e.Digest, d.Digest),
+					Repaired: s.quarantine(f.Path)})
 				continue
 			}
 			if e.Job == "" {
 				continue // pending claim; the manager's grace window owns it
 			}
-			s.checkEntryTarget(path, e)
+			s.checkEntryTarget(f.Path, e)
 		}
 	}
+}
+
+// readEntry decodes one index entry. A torn entry is O_EXCL tear debris
+// the store quarantines on read anyway: a warning, swept under repair.
+func (s *scanner) readEntry(f jobs.IndexFile) (jobs.IndexEntry, bool) {
+	s.rep.Artifacts++
+	e, err := jobs.ReadIndexEntryFile(f.Path)
+	if err != nil {
+		s.add(Defect{Kind: "index", Severity: SevWarn, Path: f.Path,
+			Detail: err.Error(), Repaired: s.quarantine(f.Path)})
+		return e, false
+	}
+	return e, true
 }
 
 // checkEntryTarget verifies the job an index entry points at: it must

@@ -33,10 +33,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/faultinject"
-	"repro/internal/frame"
 	"repro/internal/fsio"
 	"repro/internal/jobs"
 	"repro/internal/place"
@@ -148,26 +146,18 @@ func (s *scanner) add(d Defect) {
 	s.logf("scrub: [%s] %s: %s: %s", d.Severity, d.Kind, d.Path, d.Detail)
 }
 
-// quarantine renames path aside with the store's ".quarantined.N" scheme
-// (same suffix jobs.Store uses, so quarantined names never match JobDirRe
-// or the index file patterns). Returns false when repair is off or the
+// quarantine sets path aside with the store's own scheme (jobs.Quarantine:
+// the first free ".quarantined.N"). Returns false when repair is off or the
 // rename failed.
 func (s *scanner) quarantine(path string) bool {
 	if !s.opts.Repair {
 		return false
 	}
-	for i := 1; i < 1000; i++ {
-		dst := fmt.Sprintf("%s.quarantined.%d", path, i)
-		if _, err := os.Lstat(dst); err == nil {
-			continue
-		}
-		if err := os.Rename(path, dst); err != nil {
-			s.logf("scrub: quarantine %s: %v", path, err)
-			return false
-		}
-		return true
+	if _, err := jobs.Quarantine(path); err != nil {
+		s.logf("scrub: quarantine %s: %v", path, err)
+		return false
 	}
-	return false
+	return true
 }
 
 // Scan walks every root, verifying each job directory and the dedupe
@@ -275,21 +265,13 @@ func (s *scanner) rewriteSpec(dir string, spec jobs.Spec, digest string) bool {
 }
 
 // rewriteJournal quarantines the corrupt journal and writes back its
-// valid record prefix.
+// valid record prefix (jobs.RepairJournal, as the store does on open).
 func (s *scanner) rewriteJournal(dir string, recs []jobs.Record) bool {
 	if !s.opts.Repair {
 		return false
 	}
-	path := jobs.JournalPath(dir)
-	if !s.quarantine(path) {
-		return false
-	}
-	data, err := jobs.EncodeJournal(recs)
-	if err != nil {
-		return false
-	}
-	if err := fsio.WriteFileAtomic(path, data, 0o644); err != nil {
-		s.logf("scrub: rewrite %s: %v", path, err)
+	if _, err := jobs.RepairJournal(dir, recs); err != nil {
+		s.logf("scrub: repair %s: %v", jobs.JournalPath(dir), err)
 		return false
 	}
 	return true
@@ -299,51 +281,25 @@ func (s *scanner) rewriteJournal(dir string, recs []jobs.Record) bool {
 // high-water token is dead history and safe to quarantine; a torn claim
 // AT the high-water mark is reported but never repaired — its writer may
 // believe it holds the lease, and deleting it would let the next claimer
-// re-mint that token.
+// re-mint that token. Torn claims are warnings, not errors: readers
+// already treat an undecodable claim as "unknown holder" (self-healing via
+// TTL).
 func (s *scanner) scanClaims(id, dir string) {
-	cdir := jobs.ClaimsDirPath(dir)
-	entries, err := os.ReadDir(cdir)
+	chain, err := jobs.ReadClaimChain(dir)
 	if err != nil {
-		return // no claims directory: the job never ran under a lease
+		return
 	}
-	type claim struct {
-		name string
-		torn bool
-	}
-	var (
-		claims  []claim
-		highTok = ""
-	)
-	for _, e := range entries {
-		if !jobs.ClaimFileRe.MatchString(e.Name()) {
-			continue
-		}
-		s.rep.Artifacts++
-		data, rerr := os.ReadFile(filepath.Join(cdir, e.Name()))
-		torn := rerr != nil
-		if !torn {
-			_, derr := jobs.DecodeLeaseRecord(data)
-			torn = derr != nil
-		}
-		claims = append(claims, claim{name: e.Name(), torn: torn})
-		if e.Name() > highTok {
-			highTok = e.Name() // zero-padded: lexicographic = numeric
-		}
-	}
-	// Torn claims are warnings, not errors: readers already treat an
-	// undecodable claim as "unknown holder" (self-healing via TTL).
-	for _, c := range claims {
-		if !c.torn {
-			continue
-		}
-		path := filepath.Join(cdir, c.name)
-		if c.name == highTok {
-			s.add(Defect{Kind: "claims", Severity: SevWarn, Job: id, Path: path,
+	s.rep.Artifacts += len(chain)
+	for i, c := range chain {
+		switch {
+		case !c.Torn:
+		case i == len(chain)-1:
+			s.add(Defect{Kind: "claims", Severity: SevWarn, Job: id, Path: c.Path,
 				Detail: "torn claim at fencing high-water mark (never auto-repaired: removing it could re-mint the token)"})
-			continue
+		default:
+			s.add(Defect{Kind: "claims", Severity: SevWarn, Job: id, Path: c.Path,
+				Detail: "torn claim below high-water mark", Repaired: s.quarantine(c.Path)})
 		}
-		s.add(Defect{Kind: "claims", Severity: SevWarn, Job: id, Path: path,
-			Detail: "torn claim below high-water mark", Repaired: s.quarantine(path)})
 	}
 }
 
@@ -382,40 +338,20 @@ func (s *scanner) scanCheckpoint(id, dir string) {
 }
 
 // scanResultArtifacts verifies a succeeded job's placement and result
-// bytes against the CRCs journaled in its success record. Records from
-// before CRC journaling (both zero) get a parse check only.
+// bytes against the CRCs journaled in its success record
+// (jobs.CheckArtifacts). Rotted bytes are quarantined; an unreadable file
+// is only reported.
 func (s *scanner) scanResultArtifacts(id, dir string, last jobs.Record) {
-	ppath := jobs.PlacementFilePath(dir)
-	rpath := jobs.ResultFilePath(dir)
-	if last.PlacementCRC == 0 && last.ResultCRC == 0 {
-		s.rep.Artifacts++
-		data, err := os.ReadFile(rpath)
-		switch {
-		case err != nil:
-			s.add(Defect{Kind: "result", Severity: SevError, Job: id, Path: rpath,
-				Detail: fmt.Sprintf("succeeded job: %v", err)})
-		case !json.Valid(data):
-			s.add(Defect{Kind: "result", Severity: SevError, Job: id, Path: rpath,
-				Detail: "result is not valid JSON", Repaired: s.quarantine(rpath)})
+	checked, faults := jobs.CheckArtifacts(dir, last)
+	s.rep.Artifacts += checked
+	for _, f := range faults {
+		d := Defect{Kind: f.Kind, Severity: SevError, Job: id, Path: f.Path,
+			Detail: fmt.Sprintf("succeeded job: %v", f.Err)}
+		if f.Rot {
+			d.Detail, d.Repaired = f.Err.Error(), s.quarantine(f.Path)
 		}
-		return
+		s.add(d)
 	}
-	check := func(kind, path string, want uint32) {
-		s.rep.Artifacts++
-		data, err := os.ReadFile(path)
-		if err != nil {
-			s.add(Defect{Kind: kind, Severity: SevError, Job: id, Path: path,
-				Detail: fmt.Sprintf("succeeded job: %v", err)})
-			return
-		}
-		if got := frame.Checksum(data); got != want {
-			s.add(Defect{Kind: kind, Severity: SevError, Job: id, Path: path,
-				Detail:   fmt.Sprintf("CRC %08x, journal success record says %08x", got, want),
-				Repaired: s.quarantine(path)})
-		}
-	}
-	check("placement", ppath, last.PlacementCRC)
-	check("result", rpath, last.ResultCRC)
 }
 
 // scanAlias verifies a dedup alias: its source must exist and must not
@@ -434,16 +370,4 @@ func (s *scanner) scanAlias(id, dir string, last jobs.Record) {
 		s.add(Defect{Kind: "alias", Severity: SevError, Job: id, Path: jobs.JournalPath(dir),
 			Detail: fmt.Sprintf("dedup source %s is itself an alias (chained aliases are never written)", src)})
 	}
-}
-
-// sortedNames returns the names of entries, sorted, filtered by re-match.
-func sortedNames(entries []os.DirEntry, match func(string) bool) []string {
-	var names []string
-	for _, e := range entries {
-		if match(e.Name()) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names
 }

@@ -135,7 +135,7 @@ func TestScrubPlacementCRC(t *testing.T) {
 	if _, err := os.Stat(ppath); !os.IsNotExist(err) {
 		t.Fatalf("placement still present after quarantine: %v", err)
 	}
-	if _, err := os.Stat(ppath + ".quarantined.1"); err != nil {
+	if _, err := os.Stat(ppath + ".quarantined.0"); err != nil {
 		t.Fatalf("quarantined copy missing: %v", err)
 	}
 }
