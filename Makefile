@@ -3,7 +3,7 @@
 #   make verify      tier-1 checks + race detector + short fuzz smokes + bench smoke/diff + twserve smoke + obs smoke + chaos smoke + fsck smoke + resume smoke
 #   make test        unit tests only
 #   make fuzz-smoke  10-second runs of each fuzz target
-#   make bench       place + jobs + route benchmarks with -benchmem -> BENCH_PR15.json
+#   make bench       place + jobs + route + channel + estimate benchmarks with -benchmem -> BENCH_PR20.json
 #   make bench-smoke 1-iteration benchmark pass (catches bitrot, no timing)
 #   make bench-diff  a 100x median-of-5 bench pass gated against the committed baseline
 #   make obs-smoke   2-node fleet end to end: submit, scrape /metrics, twobs clean timeline
@@ -14,9 +14,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 100x
-BENCHOUT ?= BENCH_PR15.json
-BENCHBASE ?= BENCH_PR15.json
-BENCHPKGS = ./internal/place ./internal/jobs ./internal/route
+BENCHOUT ?= BENCH_PR20.json
+BENCHBASE ?= BENCH_PR20.json
+BENCHPKGS = ./internal/place ./internal/jobs ./internal/route ./internal/channel ./internal/estimate
 
 .PHONY: verify tier1 test race fuzz-smoke bench bench-smoke bench-diff serve-smoke obs-smoke chaos-smoke fsck-smoke resume-smoke
 
@@ -103,9 +103,9 @@ fsck-smoke:
 resume-smoke:
 	$(GO) test -run 'TestResumeSmoke' -count=1 -v ./cmd/twmc
 
-# bench records the placement, job-store and global-router hot-path
-# benchmarks (incl. the telemetry on/off pair and the lease fencing guard)
-# as committed JSON. Each benchmark runs five times and benchjson keeps the
+# bench records the placement, job-store, global-router, channel-builder
+# and estimator hot-path benchmarks (incl. the telemetry on/off pair, the
+# lease fencing guard and phase one over every i3 net) as committed JSON. Each benchmark runs five times and benchjson keeps the
 # median. -cpu=2 fixes GOMAXPROCS, and with it the -2 suffix on every
 # benchmark name, so a baseline recorded on one machine matches the names
 # bench-diff sees on any other. The defaults (100x, median of 5, 2 CPUs)

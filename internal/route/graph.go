@@ -10,9 +10,9 @@
 package route
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Edge is a weighted, capacitated channel-graph edge.
@@ -113,8 +113,8 @@ type pqItem struct {
 // increment instead of an O(nodes) reset.
 //
 // The searcher also emulates a virtual super-source at node NumNodes for
-// multi-source k-shortest paths (see kShortestMultiSource). Once warmed up, a search
-// allocates nothing.
+// multi-source searches (see source). Once warmed up, a search allocates
+// nothing.
 type searcher struct {
 	g     *Graph
 	super int // the virtual super-source's node id (== g.NumNodes)
@@ -148,10 +148,31 @@ type searcher struct {
 	arena []int
 	used  int
 
-	// Tree-growth scratch (steiner.go).
+	// Tree-growth scratch (steiner.go): the seen-tree set, merge buffers,
+	// the beam trees in bound order, and the smallest tree lengths of the
+	// current Prim step.
 	treeSet              seqSet
 	pathNodes, pathEdges []int
 	mergeEdges           []int
+	order                []beamBound
+	best                 []int
+
+	// stats counts the work of this searcher's phase-one nets.
+	stats phaseOneStats
+}
+
+// phaseOneStats counts phase-one work for the observe-only per-pass
+// counters: Yen calls made and skipped by the beam bound, spur searches
+// run, and heap pops of every search.
+type phaseOneStats struct {
+	yenCalls, yenSkipped, spurSearches, heapPops int64
+}
+
+func (a *phaseOneStats) add(b phaseOneStats) {
+	a.yenCalls += b.yenCalls
+	a.yenSkipped += b.yenSkipped
+	a.spurSearches += b.spurSearches
+	a.heapPops += b.heapPops
 }
 
 // nodeState is one node's searcher state. dist and prev (the edge into the
@@ -249,6 +270,7 @@ func (s *searcher) push(it pqItem) {
 }
 
 func (s *searcher) pop() pqItem {
+	s.stats.heapPops++
 	q := s.q
 	n := len(q) - 1
 	q[0], q[n] = q[n], q[0]
@@ -426,14 +448,66 @@ func (g *Graph) KShortestPaths(srcs, dsts []int, k int) []Path {
 // returned paths live in the searcher's arena and stay valid until the next
 // call.
 func (s *searcher) kShortestFrom(srcs []int, k int) []Path {
-	uniq := uniqueInts(srcs)
-	switch {
-	case len(uniq) > 1:
-		return s.kShortestMultiSource(uniq, k)
-	case len(uniq) == 1:
-		return s.kShortest(uniq[0], k)
+	src, ok := s.source(srcs)
+	if !ok {
+		return nil
 	}
-	return nil
+	if s.superSrcs == nil {
+		return s.kShortest(src, k)
+	}
+	// Yen from the virtual super-source: strip the virtual hop from the
+	// results. Yen's paths have distinct node sequences and every one
+	// starts at the super-source, so the stripped paths are distinct too.
+	paths := s.kShortest(src, k)
+	s.superSrcs = nil
+	s.out = s.out[:0]
+	for _, p := range paths {
+		s.out = append(s.out, Path{Nodes: p.Nodes[1:], Edges: p.Edges[1:], Length: p.Length})
+	}
+	return s.out
+}
+
+// distFrom is the length of the shortest path from the node set srcs to the
+// destinations set by setDsts, or inf when none is reachable. It runs the
+// same search as the first one of kShortestFrom(srcs, k).
+func (s *searcher) distFrom(srcs []int) int {
+	src, ok := s.source(srcs)
+	if !ok {
+		return inf
+	}
+	s.newBans()
+	end, found := s.shortestPath(src)
+	s.superSrcs = nil
+	if !found {
+		return inf
+	}
+	return s.node[end].dist
+}
+
+// source returns the node a search from the set srcs starts at. A single
+// distinct source is searched from directly. Several go through the virtual
+// super-source, fanned out to every source node at length 0: source sets
+// superSrcs, which the caller clears when its search is done. ok is false
+// when there is no source, or when a multi-node set names a node outside
+// the graph.
+func (s *searcher) source(srcs []int) (src int, ok bool) {
+	uniq := uniqueInts(srcs)
+	switch len(uniq) {
+	case 0:
+		return 0, false
+	case 1:
+		return uniq[0], true
+	}
+	for _, u := range uniq {
+		if u < 0 || u >= s.g.NumNodes {
+			return 0, false
+		}
+	}
+	s.superSrcs = uniq
+	if need := len(s.g.Edges) + len(uniq); len(s.banEdge) < need {
+		s.banEdge = append(s.banEdge, make([]uint32, need-len(s.banEdge))...)
+	}
+	return s.super, true
 }
 
 // uniqueInts drops repeats, keeping first occurrences in order. Strictly
@@ -455,29 +529,6 @@ func uniqueInts(s []int) []int {
 		}
 	}
 	return out
-}
-
-// kShortestMultiSource runs Yen from the virtual super-source, fanned out to
-// every source node at length 0, and strips the virtual hop from the
-// results. Yen's paths have distinct node sequences and every one starts at
-// the super-source, so the stripped paths are distinct too.
-func (s *searcher) kShortestMultiSource(srcs []int, k int) []Path {
-	for _, u := range srcs {
-		if u < 0 || u >= s.g.NumNodes {
-			return nil
-		}
-	}
-	s.superSrcs = srcs
-	if need := len(s.g.Edges) + len(srcs); len(s.banEdge) < need {
-		s.banEdge = append(s.banEdge, make([]uint32, need-len(s.banEdge))...)
-	}
-	paths := s.kShortest(s.super, k)
-	s.superSrcs = nil
-	s.out = s.out[:0]
-	for _, p := range paths {
-		s.out = append(s.out, Path{Nodes: p.Nodes[1:], Edges: p.Edges[1:], Length: p.Length})
-	}
-	return s.out
 }
 
 // alloc hands out n ints from the arena. A full arena is replaced by a
@@ -587,6 +638,7 @@ func (s *searcher) kShortest(src, k int) []Path {
 			for _, u := range rootNodes[:len(rootNodes)-1] {
 				s.ban(u)
 			}
+			s.stats.spurSearches++
 			end, ok := s.shortestPath(spurNode)
 			if !ok {
 				continue
@@ -602,8 +654,8 @@ func (s *searcher) kShortest(src, k int) []Path {
 		if len(candidates) == 0 {
 			break
 		}
-		sort.Slice(candidates, func(i, j int) bool {
-			return candidates[i].Length < candidates[j].Length
+		slices.SortFunc(candidates, func(a, b Path) int {
+			return cmp.Compare(a.Length, b.Length)
 		})
 		paths = append(paths, candidates[0])
 		head++

@@ -91,7 +91,8 @@ func RouteCtx(ctx context.Context, g *Graph, nets []Net, opt Options) (*Result, 
 	}
 	// Phase one: generate and store up to M alternatives per net.
 	t0 := time.Now()
-	if err := phaseOne(ctx, g, nets, opt, res); err != nil {
+	stats, err := phaseOne(ctx, g, nets, opt, res)
+	if err != nil {
 		return res, err
 	}
 	if len(res.Unrouted) > 0 {
@@ -112,6 +113,10 @@ func RouteCtx(ctx context.Context, g *Graph, nets []Net, opt Options) (*Result, 
 		reg.Gauge(label + ".length").Set(float64(res.Length))
 		reg.Gauge(label + ".excess").Set(float64(res.Excess))
 		reg.Gauge(label + ".p1_ms").Set(ms(t1.Sub(t0)))
+		reg.Counter(label + ".yen_calls").Add(stats.yenCalls)
+		reg.Counter(label + ".yen_skipped").Add(stats.yenSkipped)
+		reg.Counter(label + ".spur_searches").Add(stats.spurSearches)
+		reg.Counter(label + ".heap_pops").Add(stats.heapPops)
 		reg.Gauge(label + ".p2_ms").Set(ms(t2.Sub(t1)))
 		opt.Tel.Emit(telemetry.Event{
 			Type: telemetry.TypeRoute, Run: label,
@@ -129,13 +134,16 @@ func RouteCtx(ctx context.Context, g *Graph, nets []Net, opt Options) (*Result, 
 // parallel: each worker owns one searcher and claims nets by index, and a
 // net's alternatives depend only on the net and the shared, immutable
 // graph, so every worker count stores the same trees. Unrouted is collected
-// afterwards in net order.
-func phaseOne(ctx context.Context, g *Graph, nets []Net, opt Options, res *Result) error {
+// afterwards in net order. The returned work counts are summed over the
+// workers' searchers.
+func phaseOne(ctx context.Context, g *Graph, nets []Net, opt Options, res *Result) (phaseOneStats, error) {
 	var next atomic.Int64
 	routed := make([]bool, len(nets))
 	w := min(par.Workers(opt.Workers), len(nets))
-	par.ForEach(w, w, func(int) {
+	perWorker := make([]phaseOneStats, w)
+	par.ForEach(w, w, func(worker int) {
 		s := newSearcher(g)
+		defer func() { perWorker[worker] = s.stats }()
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(nets) || ctx.Err() != nil {
@@ -145,9 +153,13 @@ func phaseOne(ctx context.Context, g *Graph, nets []Net, opt Options, res *Resul
 			routed[i] = true
 		}
 	})
+	var stats phaseOneStats
+	for _, st := range perWorker {
+		stats.add(st)
+	}
 	for i, net := range nets {
 		if !routed[i] {
-			return fmt.Errorf("route: phase one interrupted at net %d of %d: %w",
+			return stats, fmt.Errorf("route: phase one interrupted at net %d of %d: %w",
 				i, len(nets), ctx.Err())
 		}
 		if len(res.Alternatives[i]) == 0 {
@@ -157,7 +169,7 @@ func phaseOne(ctx context.Context, g *Graph, nets []Net, opt Options, res *Resul
 			res.Alternatives[i] = []Tree{{}} // degenerate empty route
 		}
 	}
-	return nil
+	return stats, nil
 }
 
 // interchange is phase two's incremental state: edge densities, the nets

@@ -1,9 +1,9 @@
 package route
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Net is one net to route: each connection is a set of electrically-
@@ -39,6 +39,42 @@ func treeKeyLess(a, b []int) bool {
 		}
 	}
 	return len(a) < len(b)
+}
+
+// treeCmp is the beam order: length, then treeKeyLess. It is a strict total
+// order over distinct edge sets.
+func treeCmp(a, b Tree) int {
+	if c := cmp.Compare(a.Length, b.Length); c != 0 {
+		return c
+	}
+	switch {
+	case treeKeyLess(a.Edges, b.Edges):
+		return -1
+	case treeKeyLess(b.Edges, a.Edges):
+		return 1
+	}
+	return 0
+}
+
+// beamBound is a beam tree's lower bound on the length of every tree grown
+// from it in one Prim step; tree indexes the beam, and grow is false when
+// the tree already reaches the step's connection.
+type beamBound struct {
+	bound, tree int
+	grow        bool
+}
+
+// keepSmallest adds l to best, the ascending list of the at most m smallest
+// lengths seen so far.
+func keepSmallest(best []int, m, l int) []int {
+	if len(best) == m {
+		if l >= best[m-1] {
+			return best
+		}
+		best = best[:m-1]
+	}
+	i, _ := slices.BinarySearch(best, l)
+	return slices.Insert(best, i, l)
 }
 
 // mergeUnion writes the sorted union of the sorted, duplicate-free lists a
@@ -151,35 +187,71 @@ func (s *searcher) routeNet(net Net, m int) []Tree {
 		remaining = append(remaining[:nearestIdx], remaining[nearestIdx+1:]...)
 
 		// Grow every tree in the beam toward the chosen connection with
-		// its M-shortest attachments.
+		// its M-shortest attachments, skipping the trees that cannot make
+		// the cut (DESIGN.md §7). A tree grown from t is t plus a path
+		// whose suffix after its last tree node has no edge of t and is at
+		// least d(t, targets) long, so it is never shorter than
+		// L(t) + d(t, targets). Trees are grown in ascending bound, ties
+		// in beam order; once a bound is strictly above the m-th smallest
+		// length found, no later tree can yield one of the m best (an
+		// equal bound can still win its tie on treeKeyLess). The kept
+		// trees are the m first distinct edge sets under treeCmp, a total
+		// order, so they do not depend on the growth order.
 		targets := net.Conns[nearest]
 		s.setDsts(targets)
 		s.treeSet.reset()
+		order := s.order[:0]
+		for i, t := range beam {
+			grow := !slices.ContainsFunc(targets, t.hasNode)
+			d := 0
+			switch {
+			case i == 0:
+				d = nd // the Prim search above started from beam[0]
+			case grow:
+				d = s.distFrom(t.Nodes)
+			}
+			if d == inf {
+				continue // no attachment: Yen would find no path
+			}
+			order = append(order, beamBound{bound: t.Length + d, tree: i, grow: grow})
+		}
+		slices.SortFunc(order, func(a, b beamBound) int {
+			return cmp.Or(cmp.Compare(a.bound, b.bound), cmp.Compare(a.tree, b.tree))
+		})
+		s.order = order
 		var next []Tree
-		for _, t := range beam {
-			// Already connected through an equivalent pin?
-			if slices.ContainsFunc(targets, t.hasNode) {
+		best := s.best[:0]
+		for j, o := range order {
+			if len(best) == m && o.bound > best[m-1] {
+				for _, rest := range order[j:] {
+					if rest.grow {
+						s.stats.yenSkipped++
+					}
+				}
+				break
+			}
+			t := beam[o.tree]
+			if !o.grow {
 				if h, dup := s.treeSet.has(t.Edges); !dup {
 					s.treeSet.insert(h, t.Edges)
 					next = append(next, t)
+					best = keepSmallest(best, m, t.Length)
 				}
 				continue
 			}
+			s.stats.yenCalls++
 			for _, p := range s.kShortestFrom(t.Nodes, m) {
 				if nt, ok := s.extend(t, p); ok {
 					next = append(next, nt)
+					best = keepSmallest(best, m, nt.Length)
 				}
 			}
 		}
+		s.best = best
 		if len(next) == 0 {
 			return nil // unroutable
 		}
-		sort.Slice(next, func(i, j int) bool {
-			if next[i].Length != next[j].Length {
-				return next[i].Length < next[j].Length
-			}
-			return treeKeyLess(next[i].Edges, next[j].Edges)
-		})
+		slices.SortFunc(next, treeCmp)
 		if len(next) > m {
 			next = next[:m]
 		}
