@@ -361,30 +361,45 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Refuse to decode anything not declared as JSON: arbitrary payloads
-	// (forms, multipart, octet streams) get an explicit 415, not a decode
-	// attempt that happens to fail.
+// decodeRequest decodes a submit request's JSON body into v. It refuses to
+// decode anything not declared as JSON — arbitrary payloads (forms,
+// multipart, octet streams) get an explicit 415, not a decode attempt that
+// happens to fail — then a body over maxSpecBytes is a 413 ("<what>
+// exceeds N bytes") and an undecodable one, or one with unknown fields, a
+// 400 ("bad <what>: ..."). Reports false after writing the error response.
+func decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if err != nil || mt != "application/json" {
 		httpError(w, http.StatusUnsupportedMediaType,
 			fmt.Errorf("submit requires Content-Type: application/json"))
-		return
+		return false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	var spec jobs.Spec
-	if err := dec.Decode(&spec); err != nil {
+	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("spec exceeds %d bytes", tooBig.Limit))
-			return
+				fmt.Errorf("%s exceeds %d bytes", what, tooBig.Limit))
+			return false
 		}
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
+		return false
+	}
+	return true
+}
+
+func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var spec jobs.Spec
+	if !decodeRequest(w, r, "spec", &spec) {
 		return
 	}
-	if !s.applyTenant(w, r, &spec) {
+	tenant, ok := headerTenant(w, r)
+	if !ok {
+		return
+	}
+	if err := applyTenant(&spec, tenant); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	key, ok := idemKey(w, r)
@@ -504,27 +519,31 @@ func (s *server) writeRefusal(w http.ResponseWriter, ref *refusal) {
 	writeJSON(w, ref.Status, ref)
 }
 
-// applyTenant resolves the submission's tenant from the X-Tenant header and
-// the spec's tenant field. The header wins when the spec is silent; a
-// mismatch between the two is a 400, not a silent override. Reports whether
-// the request may proceed.
-func (s *server) applyTenant(w http.ResponseWriter, r *http.Request, spec *jobs.Spec) bool {
+// headerTenant returns the request's X-Tenant header ("" = none). A header
+// that is not a valid tenant name is a 400; reports false after writing it.
+func headerTenant(w http.ResponseWriter, r *http.Request) (string, bool) {
 	h := r.Header.Get("X-Tenant")
-	if h == "" {
-		return true
-	}
-	if !jobs.ValidTenantName(h) {
+	if h != "" && !jobs.ValidTenantName(h) {
 		httpError(w, http.StatusBadRequest,
 			fmt.Errorf("bad X-Tenant %.80q (want 1-64 chars of [A-Za-z0-9._-])", h))
-		return false
+		return "", false
 	}
-	if spec.Tenant != "" && spec.Tenant != h {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("spec tenant %q conflicts with X-Tenant %q", spec.Tenant, h))
-		return false
+	return h, true
+}
+
+// applyTenant resolves a submission's tenant from the X-Tenant header
+// (headerTenant) and the spec's tenant field. The header wins when the spec
+// is silent; a mismatch between the two is an error (a 400), not a silent
+// override.
+func applyTenant(spec *jobs.Spec, header string) error {
+	if header == "" {
+		return nil
 	}
-	spec.Tenant = h
-	return true
+	if spec.Tenant != "" && spec.Tenant != header {
+		return fmt.Errorf("spec tenant %q conflicts with X-Tenant %q", spec.Tenant, header)
+	}
+	spec.Tenant = header
+	return nil
 }
 
 func tenantLabel(spec *jobs.Spec) string {
@@ -552,23 +571,8 @@ type batchSubmit struct {
 // Retry-After and retry budget) and the largest Retry-After as the
 // response header.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if err != nil || mt != "application/json" {
-		httpError(w, http.StatusUnsupportedMediaType,
-			fmt.Errorf("submit requires Content-Type: application/json"))
-		return
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
 	var specs []batchSubmit
-	if err := dec.Decode(&specs); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("batch exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad batch: %w", err))
+	if !decodeRequest(w, r, "batch", &specs) {
 		return
 	}
 	if len(specs) == 0 {
@@ -580,9 +584,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		State jobs.State `json:"state,omitempty"`
 		refusal
 	}
-	if h := r.Header.Get("X-Tenant"); h != "" && !jobs.ValidTenantName(h) {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("bad X-Tenant %.80q (want 1-64 chars of [A-Za-z0-9._-])", h))
+	tenant, ok := headerTenant(w, r)
+	if !ok {
 		return
 	}
 	items := make([]batchItem, len(specs))
@@ -596,15 +599,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}}
 			continue
 		}
-		if h := r.Header.Get("X-Tenant"); h != "" {
-			if spec.Tenant != "" && spec.Tenant != h {
-				items[i] = batchItem{refusal: refusal{
-					Status: http.StatusBadRequest,
-					Error:  fmt.Sprintf("spec tenant %q conflicts with X-Tenant %q", spec.Tenant, h),
-				}}
-				continue
-			}
-			spec.Tenant = h
+		if err := applyTenant(&spec, tenant); err != nil {
+			items[i] = batchItem{refusal: refusal{Status: http.StatusBadRequest, Error: err.Error()}}
+			continue
 		}
 		j, created, ref := s.submit(spec, item.IdempotencyKey)
 		if ref != nil {

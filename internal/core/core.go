@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/drc"
-	"repro/internal/estimate"
 	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/place"
@@ -59,8 +58,6 @@ type Options struct {
 	Workers int
 	// SkipStage2 stops after Stage 1 (for estimator-accuracy studies).
 	SkipStage2 bool
-	// Params configures the interconnect-area estimator.
-	Params estimate.Params
 	// MaxSteps bounds each annealing run (tests only; 0 = paper
 	// criteria).
 	MaxSteps int
@@ -214,7 +211,6 @@ func Run(ctx context.Context, c *netlist.Circuit, from Start, opt Options) (*Res
 		Eta:             opt.Eta,
 		UseDr:           opt.UseDr,
 		CoreAspect:      opt.CoreAspect,
-		Params:          opt.Params,
 		MaxSteps:        opt.MaxSteps,
 		CheckpointPath:  opt.CheckpointPath,
 		CheckpointEvery: opt.CheckpointEvery,

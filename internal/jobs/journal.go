@@ -91,39 +91,85 @@ func ValidTransition(from, to State) bool {
 	return false
 }
 
-// CheckJournal verifies the whole-journal properties recovery depends on:
-// strictly consecutive sequence numbers from 1, every adjacent pair a
-// ValidTransition, nothing after a terminal record, and non-decreasing
-// fencing tokens (over records that carry one — single-node records with
-// token 0 are exempt). It is the invariant site behind jobs.transition and
-// the chaos verifier's journal check.
-func CheckJournal(recs []Record) error {
+// checkRecord is the one definition of the journal's record rules: rec,
+// appended after recs, must carry sequence len(recs)+1 and a known state,
+// must not follow a terminal record, and must be a ValidTransition from the
+// last record's state. DecodeJournal applies it to every decoded line,
+// CheckJournal to a whole slice, and the jobs.transition invariant to every
+// record Job.AppendOpts is about to write.
+func checkRecord(recs []Record, rec Record) error {
 	prev := State("")
-	var maxToken uint64
-	for i, rec := range recs {
-		if rec.Seq != i+1 {
-			return fmt.Errorf("jobs: journal record %d has sequence %d, want %d", i, rec.Seq, i+1)
-		}
-		if !knownState(rec.State) {
-			return fmt.Errorf("jobs: journal record %d has unknown state %q", i, rec.State)
-		}
-		if prev.Terminal() {
-			return fmt.Errorf("jobs: journal record %d: record after terminal state %q", i, prev)
-		}
-		if !ValidTransition(prev, rec.State) {
-			return fmt.Errorf("jobs: journal record %d: invalid transition %q → %q", i, prev, rec.State)
-		}
-		if rec.Token > 0 {
-			if rec.Token < maxToken {
-				return fmt.Errorf("jobs: journal record %d: fencing token went backwards (%d after %d) — stale write",
-					i, rec.Token, maxToken)
-			}
-			maxToken = rec.Token
-		}
-		prev = rec.State
+	if n := len(recs); n > 0 {
+		prev = recs[n-1].State
+	}
+	switch {
+	case rec.Seq <= 0:
+		return fmt.Errorf("sequence %d out of range", rec.Seq)
+	case rec.Seq != len(recs)+1:
+		return fmt.Errorf("sequence %d, want %d", rec.Seq, len(recs)+1)
+	case !knownState(rec.State):
+		return fmt.Errorf("unknown state %q", rec.State)
+	case prev.Terminal():
+		return fmt.Errorf("record after terminal state %q", prev)
+	case !ValidTransition(prev, rec.State):
+		return fmt.Errorf("invalid transition %q → %q", prev, rec.State)
 	}
 	return nil
 }
+
+// TokenOrder is the one definition of the fencing rule: non-zero tokens
+// never go backwards in append order (token 0, a single-node write, is
+// exempt). Feed it every write's token in append order. CheckJournal, the
+// jobs.lease.fence invariant, and twobs's token-regression (journal) and
+// zombie-write (span file) findings all run on it.
+type TokenOrder struct{ max uint64 }
+
+// Next admits token t as the next write. It returns the highest token
+// admitted before t and whether t keeps the order; a token that breaks the
+// order does not move the high-water mark.
+func (o *TokenOrder) Next(t uint64) (prev uint64, ok bool) {
+	prev = o.max
+	if t != 0 && t < prev {
+		return prev, false
+	}
+	o.max = max(prev, t)
+	return prev, true
+}
+
+// CheckJournal verifies the whole-journal properties recovery depends on:
+// every record passes checkRecord against the ones before it, and fencing
+// tokens follow TokenOrder. It is the invariant site behind jobs.journal.
+func CheckJournal(recs []Record) error {
+	var order TokenOrder
+	for i, rec := range recs {
+		if err := checkRecord(recs[:i], rec); err != nil {
+			return fmt.Errorf("jobs: journal record %d: %w", i, err)
+		}
+		if high, ok := order.Next(rec.Token); !ok {
+			return fmt.Errorf("jobs: journal record %d: fencing token went backwards (%d after %d) — stale write",
+				i, rec.Token, high)
+		}
+	}
+	return nil
+}
+
+// JournalError is DecodeJournal's error for a defective line: the journal's
+// valid prefix ends before Line. Invalid tells a rule break from damage: an
+// Invalid line decoded cleanly but fails checkRecord (sequence gap, unknown
+// state, record after a terminal state, invalid transition); any other
+// defect is in the line's framing or payload (torn tail, bit rot, checksum
+// mismatch, a malformed field).
+type JournalError struct {
+	Line    int
+	Invalid bool
+	Err     error
+}
+
+func (e *JournalError) Error() string {
+	return fmt.Sprintf("jobs: journal line %d: %v", e.Line, e.Err)
+}
+
+func (e *JournalError) Unwrap() error { return e.Err }
 
 // Record is one journal entry: a state transition with its sequence number
 // (1-based, strictly consecutive), wall time, execution attempt, and a
@@ -165,22 +211,12 @@ const (
 
 var journalFormat = frame.Format{Magic: "twjob", Version: JournalVersion, Max: maxJournalLine}
 
-// AppendRecord writes one journal line for rec to w:
+// EncodeJournal writes the complete journal for recs, one line per record:
 //
 //	twjob VERSION CRC32C PAYLOADLEN PAYLOADJSON\n
 //
 // The CRC (CRC-32/Castagnoli over the payload bytes) and explicit length
 // let the decoder reject torn or bit-rotted lines individually.
-func AppendRecord(w io.Writer, rec Record) error {
-	line, err := journalFormat.Append(nil, rec)
-	if err != nil {
-		return fmt.Errorf("jobs: encode journal record: %w", err)
-	}
-	_, err = w.Write(line)
-	return err
-}
-
-// EncodeJournal writes the complete journal for recs.
 func EncodeJournal(recs []Record) ([]byte, error) {
 	var buf []byte
 	for _, rec := range recs {
@@ -193,10 +229,11 @@ func EncodeJournal(recs []Record) ([]byte, error) {
 }
 
 // DecodeJournal reads journal records from r, validating each line's
-// header, length, checksum, JSON payload, state, and sequence continuity.
-// It never panics on malformed input. On a defect it returns the valid
-// prefix together with a descriptive error, so a caller can quarantine the
-// file yet keep the job's last known good state.
+// header, length, checksum and JSON payload, then checkRecord against the
+// records before it. It never panics on malformed input. On a defect it
+// returns the valid prefix together with the error (a *JournalError for a
+// defective line), so a caller can quarantine the file yet keep the job's
+// last known good state.
 func DecodeJournal(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 4096), maxJournalLine+256)
@@ -210,21 +247,10 @@ func DecodeJournal(r io.Reader) ([]Record, error) {
 		}
 		rec, err := decodeLine(text)
 		if err != nil {
-			return recs, fmt.Errorf("jobs: journal line %d: %w", line, err)
+			return recs, &JournalError{Line: line, Err: err}
 		}
-		if want := len(recs) + 1; rec.Seq != want {
-			return recs, fmt.Errorf("jobs: journal line %d: sequence %d, want %d", line, rec.Seq, want)
-		}
-		prev := State("")
-		if len(recs) > 0 {
-			prev = recs[len(recs)-1].State
-		}
-		if prev.Terminal() {
-			return recs, fmt.Errorf("jobs: journal line %d: record after terminal state %q", line, prev)
-		}
-		if !ValidTransition(prev, rec.State) {
-			return recs, fmt.Errorf("jobs: journal line %d: invalid transition %q → %q",
-				line, prev, rec.State)
+		if err := checkRecord(recs, rec); err != nil {
+			return recs, &JournalError{Line: line, Invalid: true, Err: err}
 		}
 		recs = append(recs, rec)
 	}
@@ -234,17 +260,12 @@ func DecodeJournal(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
-// decodeLine parses and verifies one journal line (without its newline).
+// decodeLine parses one journal line (without its newline) and checks the
+// fields no neighbouring record bears on.
 func decodeLine(text []byte) (Record, error) {
 	var rec Record
 	if err := journalFormat.Decode(text, &rec); err != nil {
 		return rec, err
-	}
-	if !knownState(rec.State) {
-		return rec, fmt.Errorf("unknown state %q", rec.State)
-	}
-	if rec.Seq <= 0 {
-		return rec, fmt.Errorf("sequence %d out of range", rec.Seq)
 	}
 	if rec.Attempt < 0 {
 		return rec, fmt.Errorf("attempt %d out of range", rec.Attempt)

@@ -2,8 +2,8 @@ package jobs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -38,42 +38,60 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalDetectsCorruption covers every defect class the decoder
+// stops at. Each must be detected as a *JournalError of the right kind —
+// Invalid for a cleanly decoded record that breaks the record check,
+// corrupt for a framing or payload defect — with the valid prefix before it
+// kept.
 func TestJournalDetectsCorruption(t *testing.T) {
 	recs := sampleRecords()
 	data, err := EncodeJournal(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// journal replaces the sample journal with an encoded one.
+	journal := func(recs ...Record) func([]byte) []byte {
+		return func([]byte) []byte {
+			b, err := EncodeJournal(recs)
+			if err != nil {
+				panic(err)
+			}
+			return b
+		}
+	}
+	t0 := recs[0].Time
 	cases := []struct {
-		name   string
-		mutate func([]byte) []byte
+		name    string
+		mutate  func([]byte) []byte
+		invalid bool
+		prefix  int
 	}{
 		{"bit flip", func(b []byte) []byte {
 			out := append([]byte(nil), b...)
 			out[len(out)/2] ^= 0x40
 			return out
-		}},
+		}, false, 1},
 		{"truncated line", func(b []byte) []byte {
 			return b[:len(b)-10]
-		}},
+		}, false, 2},
 		{"garbage tail", func(b []byte) []byte {
 			return append(append([]byte(nil), b...), []byte("twjob 1 deadbeef 4 ????\n")...)
-		}},
+		}, false, 3},
 		{"bad magic", func(b []byte) []byte {
 			return bytes.Replace(b, []byte("twjob"), []byte("twjoc"), 1)
-		}},
+		}, false, 0},
 		{"oversized length", func(b []byte) []byte {
 			return []byte("twjob 1 00000000 99999999 {}\n")
-		}},
+		}, false, 0},
 		// Header fields with a valid checksum but a non-canonical form:
 		// the encoder never writes these, so the decoder must not read
 		// them as their numeric prefix.
-		{"version with trailing junk", headerField(1, func(f string) string { return f + "junk" })},
-		{"signed version", headerField(1, func(f string) string { return "+" + f })},
-		{"checksum with trailing junk", headerField(2, func(f string) string { return f + "ZZ" })},
-		{"uppercase checksum", headerField(2, strings.ToUpper)},
-		{"length with trailing junk", headerField(3, func(f string) string { return f + "x" })},
-		{"length with leading zero", headerField(3, func(f string) string { return "0" + f })},
+		{"version with trailing junk", headerField(1, func(f string) string { return f + "junk" }), false, 0},
+		{"signed version", headerField(1, func(f string) string { return "+" + f }), false, 0},
+		{"checksum with trailing junk", headerField(2, func(f string) string { return f + "ZZ" }), false, 0},
+		{"uppercase checksum", headerField(2, strings.ToUpper), false, 0},
+		{"length with trailing junk", headerField(3, func(f string) string { return f + "x" }), false, 0},
+		{"length with leading zero", headerField(3, func(f string) string { return "0" + f }), false, 0},
 		{"short checksum field", func([]byte) []byte {
 			// Find a record whose checksum has a leading zero digit and
 			// write that checksum unpadded.
@@ -89,13 +107,34 @@ func TestJournalDetectsCorruption(t *testing.T) {
 					return []byte(strings.Join(fields, " "))
 				}
 			}
-		}},
+		}, false, 0},
+		{"zero checksum after valid prefix", func(b []byte) []byte {
+			first, _, _ := bytes.Cut(b, []byte("\n"))
+			return append(append(first, '\n'), "twjob 1 00000000 2 {}\n"...)
+		}, false, 1},
+		{"negative attempt", journal(Record{Seq: 1, Time: t0, State: StateQueued, Attempt: -1}), false, 0},
+		{"dedup without source", journal(recs[0], Record{Seq: 2, Time: t0, State: StateDedup}), false, 1},
+		{"bad source job", journal(Record{Seq: 1, Time: t0, State: StateQueued, Source: "../x"}), false, 0},
+		// Rule breaks: every line is well framed.
+		{"sequence gap", journal(recs[0], recs[1], Record{Seq: 5, Time: t0, State: StateSucceeded}), true, 2},
+		{"sequence zero", journal(Record{Seq: 0, Time: t0, State: StateQueued}), true, 0},
+		{"unknown state", journal(Record{Seq: 1, Time: t0, State: "exploded"}), true, 0},
+		{"record after terminal", journal(Record{Seq: 1, Time: t0, State: StateCanceled},
+			Record{Seq: 2, Time: t0, State: StateRunning}), true, 1},
+		{"invalid transition", journal(recs[0], Record{Seq: 2, Time: t0, State: StateSucceeded}), true, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mut := tc.mutate(data)
-			if _, err := DecodeJournal(bytes.NewReader(mut)); err == nil {
-				t.Fatal("corruption went undetected")
+			got, err := DecodeJournal(bytes.NewReader(tc.mutate(data)))
+			var je *JournalError
+			if !errors.As(err, &je) {
+				t.Fatalf("error = %v, want a *JournalError", err)
+			}
+			if je.Invalid != tc.invalid {
+				t.Errorf("Invalid = %v, want %v (%v)", je.Invalid, tc.invalid, err)
+			}
+			if len(got) != tc.prefix {
+				t.Errorf("valid prefix has %d records, want %d (%v)", len(got), tc.prefix, err)
 			}
 		})
 	}
@@ -121,10 +160,6 @@ func TestEncodeRefusesOversizedRecords(t *testing.T) {
 	if _, err := EncodeJournal([]Record{{Seq: 1, Time: t0, State: StateQueued,
 		Detail: strings.Repeat("x", maxJournalLine)}}); err == nil {
 		t.Error("journal record over maxJournalLine was encoded")
-	}
-	if err := AppendRecord(io.Discard, Record{Seq: 1, Time: t0, State: StateQueued,
-		Detail: strings.Repeat("x", maxJournalLine)}); err == nil {
-		t.Error("AppendRecord wrote a record over maxJournalLine")
 	}
 	if _, err := EncodeLeaseRecord(LeaseRecord{Token: 1, Time: t0, Expires: t0,
 		Node: strings.Repeat("n", maxLeaseLine)}); err == nil {

@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/invariant"
 )
 
 // getJob fetches id from st, rescanning first so a store opened before the
@@ -426,6 +430,61 @@ func TestCheckJournalTokenMonotonic(t *testing.T) {
 	recs[3].Node = ""
 	if err := CheckJournal(recs); err != nil {
 		t.Fatalf("token-less record rejected: %v", err)
+	}
+}
+
+// TestAppendInvariants pins Job.AppendOpts's two invariant sites: an append
+// that breaks the record check trips jobs.transition, and a leased append
+// whose token falls below one already journaled trips jobs.lease.fence.
+// Both are observe-only: the append itself goes through. Not parallel:
+// invariant checking is process-wide.
+func TestAppendInvariants(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	invariant.Enable(invariant.Options{Logf: func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	defer invariant.Disable()
+	st := openNode(t, t.TempDir(), "a")
+
+	j, err := st.Create(fastSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Append(StateSucceeded, 1, "success out of nowhere"); err != nil {
+		t.Fatal(err)
+	}
+
+	k, err := st.Create(fastSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, _, err := st.Claim(k, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	// A journaled token above the live claim's: only a fabricated record
+	// can get there, so plant one in memory.
+	k.mu.Lock()
+	k.records = append(k.records, Record{Seq: len(k.records) + 1, State: StateRunning, Node: "z", Token: lease.Token + 4})
+	k.mu.Unlock()
+	if _, err := k.Append(StateQueued, 1, "stale"); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{
+		fmt.Sprintf(`[jobs.transition]: job %s: invalid transition "queued" → "succeeded"`, j.ID),
+		fmt.Sprintf(`[jobs.lease.fence]: job %s: appending token %d after token %d`, k.ID, lease.Token, lease.Token+4),
+	}
+	for _, w := range want {
+		if !slices.ContainsFunc(lines, func(l string) bool { return strings.Contains(l, w) }) {
+			t.Errorf("no violation %q in %q", w, lines)
+		}
 	}
 }
 

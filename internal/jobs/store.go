@@ -101,18 +101,8 @@ func (j *Job) AppendOpts(state State, attempt int, detail string, opts RecordOpt
 			}
 		}
 	}
-	prev := State("")
-	if n := len(j.records); n > 0 {
-		prev = j.records[n-1].State
-		if prev.Terminal() {
-			return Record{}, fmt.Errorf("%w: %s is %s", ErrTerminal, j.ID, prev)
-		}
-	}
-	// Invariant jobs.transition: the terminal-exclusivity check above plus
-	// ValidTransition cover the full journal state machine; a violation
-	// here means a manager bug, not disk damage.
-	if invariant.Enabled() && !ValidTransition(prev, state) {
-		invariant.Failf("jobs.transition", "job %s: %q → %q", j.ID, prev, state)
+	if n := len(j.records); n > 0 && j.records[n-1].State.Terminal() {
+		return Record{}, fmt.Errorf("%w: %s is %s", ErrTerminal, j.ID, j.records[n-1].State)
 	}
 	rec := Record{
 		Seq:          len(j.records) + 1,
@@ -128,16 +118,24 @@ func (j *Job) AppendOpts(state State, attempt int, detail string, opts RecordOpt
 		rec.Node = node
 		if lease != nil {
 			rec.Token = lease.Token
-			// Invariant jobs.lease.fence: a validated lease is the highest
-			// claim, so its token can never fall below one already journaled.
-			if invariant.Enabled() {
-				for _, r := range j.records {
-					if r.Token > rec.Token {
-						invariant.Failf("jobs.lease.fence", "job %s: appending token %d after token %d",
-							j.ID, rec.Token, r.Token)
-					}
-				}
-			}
+		}
+	}
+	if invariant.Enabled() {
+		// Invariant jobs.transition: the new record must pass the journal's
+		// record check. The terminal refusal above is the functional guard;
+		// a violation here means a manager bug, not disk damage.
+		if err := checkRecord(j.records, rec); err != nil {
+			invariant.Failf("jobs.transition", "job %s: %v", j.ID, err)
+		}
+		// Invariant jobs.lease.fence: a validated lease is the highest
+		// claim, so its token can never fall below one already journaled.
+		var order TokenOrder
+		for _, r := range j.records {
+			order.Next(r.Token)
+		}
+		if high, ok := order.Next(rec.Token); !ok {
+			invariant.Failf("jobs.lease.fence", "job %s: appending token %d after token %d",
+				j.ID, rec.Token, high)
 		}
 	}
 	data, err := EncodeJournal(append(j.records, rec))

@@ -7,8 +7,8 @@
 //   - journal-corrupt:    the journal's valid prefix ends in a framing
 //     defect (torn tail, bit rot, checksum mismatch)
 //   - journal-invalid:    the record sequence breaks the state machine
-//     (gap, unknown state, record after terminal, bad transition) — whether
-//     the defect is caught while decoding the file or in the decoded records
+//     (gap, unknown state, record after terminal, bad transition); the
+//     decoder's *jobs.JournalError says which of the two kinds a defect is
 //   - token-regression:   a journal record carries a smaller fencing token
 //     than an earlier one — a stale node's write landed after a takeover
 //   - takeover-unjournaled: a running record directly follows a running
@@ -29,6 +29,7 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -169,7 +170,15 @@ func analyzeJob(id string, dirs []string) *JobTimeline {
 		}
 		dirRecs, err := jobs.ReadJournalDir(dir)
 		if err != nil {
-			jt.finding(classifyJournalErr(err), "error", err.Error())
+			// A well-framed record that breaks the state machine is
+			// journal-invalid; damage, or a journal that cannot be
+			// opened or read, is journal-corrupt.
+			kind := "journal-corrupt"
+			var je *jobs.JournalError
+			if errors.As(err, &je) && je.Invalid {
+				kind = "journal-invalid"
+			}
+			jt.finding(kind, "error", err.Error())
 		}
 		// Roots sharing a store carry the same journal; keep the longest
 		// valid prefix seen.
@@ -226,67 +235,33 @@ func recsOrRead(local, merged []jobs.Record) []jobs.Record {
 	return merged
 }
 
-// classifyJournalErr maps a journal decode error to a finding kind.
-// jobs.DecodeJournal enforces the state machine itself, so a semantic break
-// (gap, unknown state, record after a terminal, bad transition) surfaces as
-// a decode error just like bit rot does; tell the two apart by message so
-// the taxonomy stays honest — framing defects are journal-corrupt, state
-// machine breaks are journal-invalid.
-func classifyJournalErr(err error) string {
-	msg := err.Error()
-	for _, semantic := range []string{
-		"invalid transition", "after terminal state", "unknown state", "sequence",
-	} {
-		if strings.Contains(msg, semantic) {
-			return "journal-invalid"
-		}
-	}
-	return "journal-corrupt"
-}
-
-// journalEvents converts journal records to events and checks the state
-// machine (jobs.CheckJournal rules, reported per defect rather than
-// first-error-only) and the takeover rule.
+// journalEvents converts journal records to events and checks the takeover
+// rule and the fencing-token order (every regression, not only the first).
+// The records are a DecodeJournal prefix, so they already satisfy the state
+// machine; a break in it surfaces as the decode error (journal-invalid).
 func journalEvents(jt *JobTimeline, recs []jobs.Record) []Event {
 	events := make([]Event, 0, len(recs))
-	prev := jobs.State("")
-	var maxToken uint64
+	var order jobs.TokenOrder
 	for i, rec := range recs {
 		events = append(events, Event{
 			Time: rec.Time, Kind: "journal", Node: rec.Node, Token: rec.Token,
 			Name: string(rec.State), Detail: rec.Detail, Seq: rec.Seq,
 		})
-		if rec.Seq != i+1 {
-			jt.finding("journal-invalid", "error",
-				fmt.Sprintf("record %d has sequence %d, want %d (gap)", i, rec.Seq, i+1))
-		}
-		if prev.Terminal() {
-			jt.finding("journal-invalid", "error",
-				fmt.Sprintf("record %d (%s) after terminal state %q", i, rec.State, prev))
-		} else if !jobs.ValidTransition(prev, rec.State) {
-			jt.finding("journal-invalid", "error",
-				fmt.Sprintf("record %d: invalid transition %q → %q", i, prev, rec.State))
-		}
 		// A change of executing owner must be journaled: the reclaimer
 		// appends a takeover record (queued) before it runs. Same node and
 		// token back to back is the in-process retry whose bookkeeping
 		// append was lost — no ownership change.
-		if rec.State == jobs.StateRunning && prev == jobs.StateRunning &&
+		if i > 0 && rec.State == jobs.StateRunning && recs[i-1].State == jobs.StateRunning &&
 			(rec.Node != recs[i-1].Node || rec.Token != recs[i-1].Token) {
 			jt.finding("takeover-unjournaled", "error",
 				fmt.Sprintf("record %d: running (%s token %d) directly after running (%s token %d)",
 					i, rec.Node, rec.Token, recs[i-1].Node, recs[i-1].Token))
 		}
-		if rec.Token > 0 {
-			if rec.Token < maxToken {
-				jt.finding("token-regression", "error",
-					fmt.Sprintf("record %d: token %d after %d — stale write after takeover",
-						i, rec.Token, maxToken))
-			} else {
-				maxToken = rec.Token
-			}
+		if high, ok := order.Next(rec.Token); !ok {
+			jt.finding("token-regression", "error",
+				fmt.Sprintf("record %d: token %d after %d — stale write after takeover",
+					i, rec.Token, high))
 		}
-		prev = rec.State
 	}
 	return events
 }
@@ -296,7 +271,7 @@ func journalEvents(jt *JobTimeline, recs []jobs.Record) []Event {
 // and takeover spans without a matching journal record.
 func spanEvents(jt *JobTimeline, recs []jobs.Record, spans []telemetry.Span) []Event {
 	events := make([]Event, 0, len(spans))
-	var maxToken uint64
+	var order jobs.TokenOrder
 	for _, sp := range spans {
 		ev := Event{
 			Time: sp.Start, Kind: "span", Node: sp.Node, Token: sp.Token,
@@ -310,13 +285,9 @@ func spanEvents(jt *JobTimeline, recs []jobs.Record, spans []telemetry.Span) []E
 			// The deliberate stale-identity abort marker: exempt.
 			continue
 		}
-		if sp.Token > 0 {
-			if sp.Token < maxToken {
-				jt.finding("zombie-write", "error",
-					fmt.Sprintf("span %s appended under token %d after token %d", sp.ID, sp.Token, maxToken))
-			} else {
-				maxToken = sp.Token
-			}
+		if high, ok := order.Next(sp.Token); !ok {
+			jt.finding("zombie-write", "error",
+				fmt.Sprintf("span %s appended under token %d after token %d", sp.ID, sp.Token, high))
 		}
 		if sp.Name == "claim" && sp.Attrs["takeover"] == "true" {
 			if !takeoverJournaled(recs, sp.Token) {

@@ -397,6 +397,49 @@ func TestJournalDefectFindings(t *testing.T) {
 	}
 }
 
+// TestTokenRegressionEveryDefect pins the fencing-token findings on both
+// sides: every regression in the journal and in the span file is reported,
+// not only the first, a regression does not lower the high-water mark, and
+// the "fenced" span is exempt.
+func TestTokenRegressionEveryDefect(t *testing.T) {
+	root := t.TempDir()
+	dir := mkJobDir(t, root, "j000001")
+	writeJournal(t, dir, []jobs.Record{
+		{Seq: 1, Time: at(0), State: jobs.StateQueued, Detail: "submitted"},
+		{Seq: 2, Time: at(1), State: jobs.StateRunning, Attempt: 1, Node: "n2", Token: 3},
+		{Seq: 3, Time: at(2), State: jobs.StateQueued, Attempt: 1, Node: "n1", Token: 1, Detail: "stale write"},
+		{Seq: 4, Time: at(3), State: jobs.StateRunning, Attempt: 2, Node: "n1", Token: 2},
+	})
+	appendSpans(t, dir,
+		telemetry.Span{ID: "s1", Name: "attempt", Node: "n2", Token: 2, Start: at(1), End: at(1)},
+		telemetry.Span{ID: "s2", Name: "attempt", Node: "n1", Token: 1, Start: at(2), End: at(2)},
+		telemetry.Span{ID: "s3", Name: "fenced", Node: "n1", Token: 1, Start: at(3), End: at(3)},
+		telemetry.Span{ID: "s4", Name: "attempt", Node: "n3", Token: 3, Start: at(4), End: at(4)},
+		telemetry.Span{ID: "s5", Name: "attempt", Node: "n2", Token: 2, Start: at(5), End: at(5)},
+		telemetry.Span{ID: "s6", Name: "attempt", Node: "n1", Token: 1, Start: at(6), End: at(6)},
+	)
+	rep, err := Analyze([]string{root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range rep.Findings() {
+		if f.Kind == "token-regression" || f.Kind == "zombie-write" {
+			got = append(got, f.Kind+": "+f.Detail)
+		}
+	}
+	want := []string{
+		"zombie-write: span s2 appended under token 1 after token 2",
+		"zombie-write: span s5 appended under token 2 after token 3",
+		"zombie-write: span s6 appended under token 1 after token 3",
+		"token-regression: record 2: token 1 after 3 — stale write after takeover",
+		"token-regression: record 3: token 2 after 3 — stale write after takeover",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("token findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestTornSpanTailIsWarning(t *testing.T) {
 	root := t.TempDir()
 	dir := mkJobDir(t, root, "j000001")
