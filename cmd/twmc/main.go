@@ -282,13 +282,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		opt := viz.Options{ShowExpanded: true, ShowChannels: true, ShowRoutes: true, ShowPins: true}
 		var g *channel.Graph
 		var routing *route.Result
 		if res.Stage2 != nil {
 			g, routing = res.Stage2.Graph, res.Stage2.Routing
 		}
-		if err := viz.WriteSVG(f, res.Placement, g, routing, opt); err != nil {
+		if err := viz.WriteSVG(f, res.Placement, g, routing); err != nil {
 			die(err)
 		}
 		if err := f.Close(); err != nil {

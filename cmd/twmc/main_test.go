@@ -6,10 +6,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/gen"
 )
 
 // TestMain doubles as the twmc entry point: TestResumeSmoke re-execs this
@@ -127,5 +130,85 @@ func TestResumeSmoke(t *testing.T) {
 				t.Fatal("resumed placement differs from the uninterrupted run's")
 			}
 		})
+	}
+}
+
+// TestValidateFlags drives the real CLI with each flag combination
+// validateFlags rejects: every one must be a usage error (exit 2) whose
+// message names the offending flag.
+func TestValidateFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-nstarts", "0"}, "-nstarts"},
+		{[]string{"-replicas", "0"}, "-replicas"},
+		{[]string{"-nstarts", "2", "-replicas", "2"}, "-nstarts and -replicas"},
+		{[]string{"-workers", "-1"}, "-workers"},
+		{[]string{"-ac", "-1"}, "-ac"},
+		{[]string{"-m", "-1"}, "-m "},
+		{[]string{"-refine", "-1"}, "-refine"},
+		{[]string{"-checkpoint-every", "-1"}, "-checkpoint-every"},
+		{[]string{"-r", "-1"}, "-r, "},
+		{[]string{"-rho", "-1"}, "-rho"},
+		{[]string{"-eta", "-1"}, "-eta"},
+		{[]string{"-aspect", "0"}, "-aspect"},
+		{[]string{"-deadline", "-1s"}, "-deadline"},
+		{[]string{"-nstarts", "2", "-checkpoint", "ck"}, "-checkpoint/-resume"},
+		{[]string{"-nstarts", "2", "-resume", "ck"}, "-checkpoint/-resume"},
+		{[]string{"-resume", "ck", "-load", "p.twp"}, "-resume (annealing checkpoint) and -load"},
+	} {
+		cmd, out := twmcCmd(append(tc.args, "-preset", "i3")...)
+		if code := exitCode(t, cmd.Run(), out); code != 2 || !strings.Contains(out.String(), tc.flag) {
+			t.Errorf("%v: exit %d, want 2 naming %q:\n%s", tc.args, code, tc.flag, out)
+		}
+	}
+}
+
+// TestLoadRefusesBadAspect saves a Stage 1 placement, sets one custom
+// cell's aspect to NaN, and loads it: twmc must fail (exit 1) naming the
+// cell, not route a degenerate one-unit-wide strip.
+func TestLoadRefusesBadAspect(t *testing.T) {
+	dir := t.TempDir()
+	saved := filepath.Join(dir, "p.twp")
+	cmd, out := twmcCmd("-preset", "i3", "-ac", "10", "-stage1-only", "-out", saved)
+	if code := exitCode(t, cmd.Run(), out); code != 0 {
+		t.Fatalf("stage 1 run exited %d:\n%s", code, out)
+	}
+	c, err := gen.Preset("i3", 17) // twmc's default -preset-seed
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(data), "\n")
+	name := ""
+	for k, l := range lines {
+		f := strings.Fields(l)
+		if len(f) != 7 || f[0] != "cell" {
+			continue
+		}
+		inst, err := strconv.Atoi(f[5])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ci := c.CellByName(f[1]); c.Cells[ci].Instances[inst].IsCustomShape() {
+			name, f[6] = f[1], "NaN"
+			lines[k] = strings.Join(f, " ")
+			break
+		}
+	}
+	if name == "" {
+		t.Fatal("no custom-shape cell in the saved placement")
+	}
+	bad := filepath.Join(dir, "nan.twp")
+	if err := os.WriteFile(bad, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd, out = twmcCmd("-preset", "i3", "-ac", "10", "-load", bad, "-drc")
+	if code := exitCode(t, cmd.Run(), out); code != 1 || !strings.Contains(out.String(), `cell "`+name+`"`) {
+		t.Fatalf("-load of a NaN aspect: exit %d, want 1 naming cell %q:\n%s", code, name, out)
 	}
 }

@@ -168,14 +168,18 @@ func PickDisplacementDr(r *rng.Source, wx, wy float64) (dx, dy int) {
 	}
 }
 
+// tFloor ends a run whose temperature decays below it even when no other
+// criterion fires (a safety net; the paper's runs end on the window
+// criterion first).
+const tFloor = 1e-3
+
+// minAcceptRate is the quench threshold of Config.StopOnMinWindow.
+const minAcceptRate = 0.08
+
 // Config parameterizes a Controller.
 type Config struct {
 	// TInf is the starting temperature; zero selects StartTemp(ST).
 	TInf float64
-	// TFloor ends the run if T decays below it even when no other
-	// criterion fires (safety net; the paper's runs end on the window
-	// criterion first).
-	TFloor float64
 	// ST is the temperature scale factor S_T.
 	ST float64
 	// Schedule is the α(T) table.
@@ -191,12 +195,9 @@ type Config struct {
 	// span (Stage 1 and the first two Stage 2 refinement passes). To stay
 	// robust across circuit scales the criterion additionally requires the
 	// final regime to have quenched: the per-step acceptance rate must
-	// have fallen to MinAcceptRate. On paper-scale cores (thousands of
+	// have fallen to minAcceptRate. On paper-scale cores (thousands of
 	// grid units) the window criterion alone already lands there.
 	StopOnMinWindow bool
-	// MinAcceptRate is the quench threshold used with StopOnMinWindow;
-	// zero selects 0.08.
-	MinAcceptRate float64
 	// StableSteps, if positive, ends the run once the reported cost is
 	// unchanged for this many consecutive temperatures (the third
 	// refinement pass uses 3, §4.3).
@@ -249,12 +250,6 @@ func NewController(cfg Config, src *rng.Source) *Controller {
 	}
 	if cfg.NumCells <= 0 {
 		cfg.NumCells = 1
-	}
-	if cfg.TFloor <= 0 {
-		cfg.TFloor = 1e-3
-	}
-	if cfg.MinAcceptRate <= 0 {
-		cfg.MinAcceptRate = 0.08
 	}
 	rl := NewRangeLimiter(cfg.WxInf, cfg.WyInf, cfg.Rho, StartTemp(cfg.ST))
 	return &Controller{cfg: cfg, rl: rl, rng: src, t: cfg.TInf}
@@ -332,7 +327,7 @@ func (c *Controller) Next() bool {
 	}
 	// The stopping criteria are evaluated on the step just finished.
 	if c.cfg.StopOnMinWindow && c.rl.AtMinimum(c.t) &&
-		c.lastStepRate <= c.cfg.MinAcceptRate {
+		c.lastStepRate <= minAcceptRate {
 		c.done = true
 		return false
 	}
@@ -345,7 +340,7 @@ func (c *Controller) Next() bool {
 		return false
 	}
 	c.t *= c.cfg.Schedule.Alpha(c.t, c.cfg.ST)
-	if c.t < c.cfg.TFloor {
+	if c.t < tFloor {
 		c.done = true
 		return false
 	}

@@ -75,12 +75,6 @@ type Options struct {
 	MaxRestarts int
 	// Nodes is the fleet size for node-level chaos (RunNode; default 3).
 	Nodes int
-	// ScheduleDeadline is the per-schedule watchdog; a schedule that does
-	// not finish in time is reported as a hang (default 2 minutes).
-	ScheduleDeadline time.Duration
-	// CancelProb is the probability a schedule issues a job cancel
-	// (default 0.15).
-	CancelProb float64
 	// Registry, when non-nil, accumulates faultinject.* and invariant.*
 	// counters across schedules.
 	Registry *telemetry.Registry
@@ -89,6 +83,13 @@ type Options struct {
 	// Verbose adds per-schedule detail to Logf.
 	Verbose bool
 }
+
+// scheduleDeadline is the per-schedule watchdog: a schedule that does not
+// finish in time is reported as a hang.
+const scheduleDeadline = 2 * time.Minute
+
+// cancelProb is the probability a schedule issues a job cancel.
+const cancelProb = 0.15
 
 func (o *Options) fill() {
 	if o.Schedules <= 0 {
@@ -114,15 +115,6 @@ func (o *Options) fill() {
 	}
 	if o.Nodes <= 0 {
 		o.Nodes = 3
-	}
-	if o.ScheduleDeadline <= 0 {
-		o.ScheduleDeadline = 2 * time.Minute
-	}
-	if o.CancelProb == 0 {
-		o.CancelProb = 0.15
-	}
-	if o.CancelProb < 0 {
-		o.CancelProb = 0
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -348,7 +340,7 @@ func referenceRun(opts *Options, dir string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, err := waitTerminal(j, opts.ScheduleDeadline)
+	rec, err := waitTerminal(j, scheduleDeadline)
 	if err != nil {
 		return nil, err
 	}
@@ -366,11 +358,11 @@ func runSchedule(opts *Options, idx int, dir, _ string, refs map[string][]byte) 
 	select {
 	case out := <-done:
 		return out
-	case <-time.After(opts.ScheduleDeadline):
+	case <-time.After(scheduleDeadline):
 		faultinject.Disarm() // free the plane for the next schedule
 		return Outcome{
 			Schedule:  idx,
-			Violation: fmt.Errorf("hang: schedule did not terminate within %v", opts.ScheduleDeadline),
+			Violation: fmt.Errorf("hang: schedule did not terminate within %v", scheduleDeadline),
 		}
 	}
 }
@@ -380,7 +372,7 @@ func runScheduleBody(opts *Options, idx int, dir string, refs map[string][]byte)
 	out := Outcome{
 		Schedule: idx,
 		Rules:    genRules(src),
-		Canceled: src.Bool(opts.CancelProb),
+		Canceled: src.Bool(cancelProb),
 	}
 	cancelAfter := time.Duration(src.IntRange(1, 30)) * time.Millisecond
 
@@ -464,7 +456,7 @@ func runScheduleBody(opts *Options, idx int, dir string, refs map[string][]byte)
 		jobID = j.ID
 	}
 	for _, j := range st.List() {
-		if _, err := waitTerminal(j, opts.ScheduleDeadline); err != nil {
+		if _, err := waitTerminal(j, scheduleDeadline); err != nil {
 			drainQuiet(m)
 			out.Violation = fmt.Errorf("hang: %s: %w", j.ID, err)
 			return out

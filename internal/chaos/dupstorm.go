@@ -161,7 +161,7 @@ func runDupStormSchedule(opts *Options, idx int, dir, exe string, refs map[strin
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	deadline := time.After(opts.ScheduleDeadline)
+	deadline := time.After(scheduleDeadline)
 
 	kills := 0
 	for submitting := true; submitting; {
@@ -180,7 +180,7 @@ func runDupStormSchedule(opts *Options, idx int, dir, exe string, refs map[strin
 				out.Restarts++
 			}
 		case <-deadline:
-			out.Violation = fmt.Errorf("hang: submitters outlived %v", opts.ScheduleDeadline)
+			out.Violation = fmt.Errorf("hang: submitters outlived %v", scheduleDeadline)
 			f.stop()
 			return out
 		}

@@ -22,12 +22,12 @@ type childResult struct {
 // is the point of the exercise; a clean retryable non-result is legitimate
 // only under armed faults; invariant trips, hangs, spawn failures and
 // protocol breaks are violations.
-func (r childResult) check(who string, armed bool, deadline time.Duration) error {
+func (r childResult) check(who string, armed bool) error {
 	switch {
 	case r.err != nil:
 		return fmt.Errorf("%s: spawn: %w", who, r.err)
 	case r.hung:
-		return fmt.Errorf("hang: %s outlived %v\n%s", who, deadline, r.stderr)
+		return fmt.Errorf("hang: %s outlived %v\n%s", who, scheduleDeadline, r.stderr)
 	case r.killed, r.code == childExitOK, armed && r.code == childExitRetry:
 		return nil
 	case r.code == ChildExitInvariant:
@@ -82,9 +82,9 @@ func (p *nodeProc) take() childResult {
 	return childResult{code: p.cmd.ProcessState.ExitCode(), stderr: p.buf.String()}
 }
 
-// result waits for the child up to deadline, killing it on expiry.
+// result waits for the child up to scheduleDeadline, killing it on expiry.
 // killAfter ≥ 0 SIGKILLs it on schedule after that long instead.
-func (p *nodeProc) result(killAfter, deadline time.Duration) childResult {
+func (p *nodeProc) result(killAfter time.Duration) childResult {
 	var kill <-chan time.Time
 	if killAfter >= 0 {
 		kill = time.After(killAfter)
@@ -95,20 +95,20 @@ func (p *nodeProc) result(killAfter, deadline time.Duration) childResult {
 	case <-kill:
 		p.kill()
 		return childResult{killed: true}
-	case <-time.After(deadline):
+	case <-time.After(scheduleDeadline):
 		p.kill()
 		return childResult{hung: true, stderr: p.buf.String()}
 	}
 }
 
 // runChild executes exe under env, SIGKILLs it after killAfter (< 0 means
-// never), and enforces deadline as a watchdog either way.
-func runChild(exe string, env []string, killAfter, deadline time.Duration) childResult {
+// never), and enforces scheduleDeadline as a watchdog either way.
+func runChild(exe string, env []string, killAfter time.Duration) childResult {
 	p, err := startNode(exe, env)
 	if err != nil {
 		return childResult{err: err}
 	}
-	return p.result(killAfter, deadline)
+	return p.result(killAfter)
 }
 
 // childEnv is the child-protocol environment of schedule idx over dir.
@@ -126,15 +126,14 @@ func childEnv(opts *Options, idx int, dir string, extra ...string) []string {
 // k) when armed. Every method draws nothing from the schedule's rng, so
 // callers keep their draws in a fixed order.
 type fleet struct {
-	exe      string
-	env      []string
-	deadline time.Duration
-	procs    []*nodeProc
+	exe   string
+	env   []string
+	procs []*nodeProc
 }
 
 // newFleet starts n armed nodes.
 func newFleet(opts *Options, exe string, n int, env []string) (*fleet, error) {
-	f := &fleet{exe: exe, env: env, deadline: opts.ScheduleDeadline, procs: make([]*nodeProc, n)}
+	f := &fleet{exe: exe, env: env, procs: make([]*nodeProc, n)}
 	for slot := range f.procs {
 		if err := f.spawn(slot, true); err != nil {
 			f.stop()
@@ -176,7 +175,7 @@ func (f *fleet) reap(respawn bool) error {
 			continue
 		}
 		f.procs[slot] = nil
-		err := p.take().check(fmt.Sprintf("node %d", slot), true, f.deadline)
+		err := p.take().check(fmt.Sprintf("node %d", slot), true)
 		if err == nil && respawn {
 			err = f.spawn(slot, true)
 		}
@@ -214,7 +213,7 @@ func (f *fleet) heal() error {
 		}
 	}
 	for slot, p := range f.procs {
-		if verr := p.result(-1, f.deadline).check(fmt.Sprintf("heal node %d", slot), false, f.deadline); verr != nil {
+		if verr := p.result(-1).check(fmt.Sprintf("heal node %d", slot), false); verr != nil {
 			err = verr
 		}
 	}

@@ -37,8 +37,8 @@ func runSigkillSchedule(opts *Options, idx int, dir, exe string, refs map[string
 			out.Restarts++
 		}
 		killAfter := time.Duration(src.IntRange(5, 80)) * time.Millisecond
-		res := runChild(exe, append(env[:len(env):len(env)], EnvArmed+"=1"), killAfter, opts.ScheduleDeadline)
-		if out.Violation = res.check(fmt.Sprintf("restart %d: armed child", r), true, opts.ScheduleDeadline); out.Violation != nil {
+		res := runChild(exe, append(env[:len(env):len(env)], EnvArmed+"=1"), killAfter)
+		if out.Violation = res.check(fmt.Sprintf("restart %d: armed child", r), true); out.Violation != nil {
 			return out
 		}
 		if !res.killed && res.code == childExitOK {
@@ -47,8 +47,8 @@ func runSigkillSchedule(opts *Options, idx int, dir, exe string, refs map[string
 	}
 
 	// Heal pass: a faultless child must converge on its own.
-	res := runChild(exe, env, -1, opts.ScheduleDeadline)
-	if out.Violation = res.check("heal child", false, opts.ScheduleDeadline); out.Violation == nil {
+	res := runChild(exe, env, -1)
+	if out.Violation = res.check("heal child", false); out.Violation == nil {
 		_, out.Violation = verifyCold(opts, dir, nil, false, refs, &out)
 	}
 	return out

@@ -1,8 +1,10 @@
 package frame
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -125,5 +127,73 @@ func TestChecksumIsCastagnoli(t *testing.T) {
 	// The CRC-32C check value (RFC 3720 §B.4: 32 bytes of zeros).
 	if got := Checksum(make([]byte, 32)); got != 0x8a9136aa {
 		t.Fatalf("Checksum(zeros) = %08x, want 8a9136aa", got)
+	}
+}
+
+// TestBlobRoundTrip pins the blob layout: the header line, then the payload
+// with no trailing newline; ReadBlob reads exactly that far and leaves what
+// follows for the caller.
+func TestBlobRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	if err := testFormat.WriteBlob(&buf, payload{N: 7, S: "é"}); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"n":7,"s":"é"}`
+	if got := buf.String(); got != fmt.Sprintf("twtest 2 %08x %d\n%s", Checksum([]byte(want)), len(want), want) {
+		t.Fatalf("blob = %q", got)
+	}
+	br := bufio.NewReader(strings.NewReader(buf.String() + "next"))
+	var got payload
+	if err := testFormat.ReadBlob(br, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got != (payload{N: 7, S: "é"}) {
+		t.Fatalf("decoded %+v", got)
+	}
+	if rest, _ := io.ReadAll(br); string(rest) != "next" {
+		t.Fatalf("ReadBlob consumed past the payload: %q left", rest)
+	}
+	buf.Reset()
+	if err := testFormat.WriteBlob(&buf, payload{S: strings.Repeat("x", testFormat.Max)}); err == nil || buf.Len() != 0 {
+		t.Fatalf("over-bound blob: err = %v, %d bytes written", err, buf.Len())
+	}
+}
+
+// TestReadBlobRejects runs the blob decoder over the header defects
+// TestDecodeRejects covers for lines (one parser serves both layouts) and
+// over the blob's own: a missing or overlong header line, a short payload,
+// and a payload with data after its JSON value.
+func TestReadBlobRejects(t *testing.T) {
+	blob := func(js string) string {
+		return fmt.Sprintf("twtest 2 %08x %d\n%s", Checksum([]byte(js)), len(js), js)
+	}
+	good := blob(`{"n":1}`)
+	sum := good[9:17]
+	cases := []struct {
+		name, in, want string
+	}{
+		{"empty", "", "header: EOF"},
+		{"no newline", "twtest 2 " + sum + " 7", "header: EOF"},
+		{"overlong header", strings.Repeat("x", 5000), "header: bufio: buffer full"},
+		{"missing fields", "twtest 2 " + sum + "\n{}", "malformed header"},
+		{"bad magic", "twtesx" + good[6:], "bad magic"},
+		{"signed version", "twtest +2" + good[8:], "unsupported version"},
+		{"uppercase checksum", "twtest 2 " + strings.ToUpper(sum) + good[17:], "bad checksum field"},
+		{"leading-zero length", "twtest 2 " + sum + " 07\n{\"n\":1}", "bad length field"},
+		{"length with junk", "twtest 2 " + sum + " 7x\n{\"n\":1}", "bad length field"},
+		{"trailing word", "twtest 2 " + sum + " 7 x\n{\"n\":1}", "bad length field"},
+		{"tab separators", "twtest\t2\t" + sum + "\t7\n{\"n\":1}", "malformed header"},
+		{"length over max", "twtest 2 " + sum + " 65\n{\"n\":1}", "payload size in 0..64"},
+		{"truncated", good[:len(good)-1], "truncated: 6 of 7 payload bytes"},
+		{"checksum mismatch", "twtest 2 " + sum + " 7\n{\"n\":2}", "checksum mismatch"},
+		{"unknown field", blob(`{"n":1,"x":2}`), "payload: json: unknown field"},
+		{"data after the value", blob(`{"n":1}{}`), "payload: data after the JSON value"},
+	}
+	for _, tc := range cases {
+		var v payload
+		err := testFormat.ReadBlob(bufio.NewReader(strings.NewReader(tc.in)), &v)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

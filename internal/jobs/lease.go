@@ -28,10 +28,12 @@ package jobs
 // TokenOrder fencing rule) verifies no stale write ever landed.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -172,20 +174,6 @@ func readLeaseState(dir string) (leaseState, error) {
 	ls.maxToken, ls.top = top.Token, top.Record
 	ls.hb, _ = ReadHeartbeat(dir)
 	return ls, nil
-}
-
-// claimTokens maps every claim token present in dir to its decoded record
-// (zero-valued for torn claims). Used by AuditLease.
-func claimTokens(dir string) (map[uint64]LeaseRecord, error) {
-	chain, err := ReadClaimChain(dir)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[uint64]LeaseRecord, len(chain))
-	for _, c := range chain {
-		out[c.Token] = c.Record
-	}
-	return out, nil
 }
 
 // Lease is one node's claim on one job. It is owned by the claiming
@@ -378,21 +366,19 @@ func (l *Lease) Release() error {
 // apply TokenOrder for that. Together they are the chaos verifier's proof
 // that no record was written under a stale or fabricated token.
 func AuditLease(dir string, recs []Record) error {
-	claims, err := claimTokens(dir)
+	chain, err := ReadClaimChain(dir)
 	if err != nil {
 		return fmt.Errorf("jobs: lease audit: %w", err)
 	}
 	var maxTok uint64
-	for tok := range claims {
-		if tok > maxTok {
-			maxTok = tok
-		}
+	if len(chain) > 0 {
+		maxTok = chain[len(chain)-1].Token // the chain is token-ordered
 	}
 	for i, rec := range recs {
 		if rec.Token == 0 {
 			continue
 		}
-		claim, ok := claims[rec.Token]
+		k, ok := slices.BinarySearchFunc(chain, rec.Token, func(c ClaimFile, tok uint64) int { return cmp.Compare(c.Token, tok) })
 		if !ok {
 			if rec.Token < maxTok {
 				// GC debris: the claim existed (tokens are only minted
@@ -403,7 +389,7 @@ func AuditLease(dir string, recs []Record) error {
 			return fmt.Errorf("jobs: lease audit: journal record %d carries token %d with no claim file (high-water mark %d)",
 				i, rec.Token, maxTok)
 		}
-		if claim.Node != "" && rec.Node != claim.Node {
+		if claim := chain[k].Record; claim.Node != "" && rec.Node != claim.Node {
 			return fmt.Errorf("jobs: lease audit: journal record %d: node %q wrote under token %d claimed by %q",
 				i, rec.Node, rec.Token, claim.Node)
 		}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -102,16 +103,16 @@ func TestLeaseClaimRace(t *testing.T) {
 
 	// The claim chain on disk is the audit trail: one immutable file per
 	// token, each decoding to the node that won that round.
-	claims, err := claimTokens(job.Dir())
+	chain, err := ReadClaimChain(job.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(claims) != rounds {
-		t.Fatalf("claim chain has %d entries, want %d", len(claims), rounds)
+	if len(chain) != rounds {
+		t.Fatalf("claim chain has %d entries, want %d", len(chain), rounds)
 	}
-	for tok, rec := range claims {
-		if rec.Node == "" {
-			t.Fatalf("claim token %d is torn/undecodable", tok)
+	for _, c := range chain {
+		if c.Record.Node == "" {
+			t.Fatalf("claim token %d is torn/undecodable", c.Token)
 		}
 	}
 }
@@ -556,5 +557,40 @@ func TestTornClaimForcesReclaim(t *testing.T) {
 	}
 	if err := leaseA.Validate(); !errors.Is(err, ErrFenced) {
 		t.Fatalf("torn-claim writer not fenced: %v", err)
+	}
+}
+
+// TestTakeoverDetailRoundTrip covers every detail noteClaim can journal
+// for a takeover (any peer node, any token, an expired or a released
+// lease): each survives the journal codec and is a takeover record to
+// IsTakeoverDetail, which twobs uses. The other details the manager
+// journals are not takeover records.
+func TestTakeoverDetailRoundTrip(t *testing.T) {
+	if got, want := TakeoverDetail("n1", 1, true), "lease takeover from n1 (token 1 expired)"; got != want {
+		t.Fatalf("TakeoverDetail = %q, want %q", got, want)
+	}
+	t0 := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
+	for _, node := range []string{"n1", "nœud-1 \"east\"", "node (token 9 expired)", ""} {
+		for _, token := range []uint64{1, 42, 1<<64 - 1} {
+			for _, expired := range []bool{true, false} {
+				detail := TakeoverDetail(node, token, expired)
+				data, err := EncodeJournal([]Record{{Seq: 1, Time: t0, State: StateQueued, Detail: detail, Node: "n2", Token: 2}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs, err := DecodeJournal(bytes.NewReader(data))
+				if err != nil || len(recs) != 1 || recs[0].Detail != detail {
+					t.Fatalf("%q: journal round trip = %+v, %v", detail, recs, err)
+				}
+				if !IsTakeoverDetail(recs[0].Detail) {
+					t.Errorf("%q is not recognized as a takeover record", detail)
+				}
+			}
+		}
+	}
+	for _, detail := range []string{"submitted", "executing", "recovered after restart", "canceled while queued", "interrupted by drain", ""} {
+		if IsTakeoverDetail(detail) {
+			t.Errorf("%q recognized as a takeover record", detail)
+		}
 	}
 }

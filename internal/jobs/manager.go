@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -601,6 +602,25 @@ func (m *Manager) claimWork() {
 	}
 }
 
+// takeoverPrefix starts every takeover record's detail.
+const takeoverPrefix = "lease takeover from "
+
+// TakeoverDetail is the detail of the queued record a node journals when it
+// takes a running job over from a peer's expired or released lease. twobs
+// recognizes takeover records by IsTakeoverDetail, so the two change
+// together.
+func TakeoverDetail(prevNode string, prevToken uint64, expired bool) string {
+	how := "released"
+	if expired {
+		how = "expired"
+	}
+	return fmt.Sprintf("%s%s (token %d %s)", takeoverPrefix, prevNode, prevToken, how)
+}
+
+// IsTakeoverDetail reports whether a journal record's detail is a takeover
+// record's (TakeoverDetail).
+func IsTakeoverDetail(detail string) bool { return strings.HasPrefix(detail, takeoverPrefix) }
+
 // noteClaim journals what a successful claim means: a takeover from a dead
 // or drained peer, or this node recovering its own interrupted job. A plain
 // claim of a freshly queued job needs no extra record — the claim file and
@@ -620,11 +640,7 @@ func (m *Manager) noteClaim(j *Job, lease *Lease, prev LeaseRecord) error {
 	takeover := false
 	switch {
 	case prev.Token > 0 && prev.Node != m.cfg.NodeID:
-		how := "released"
-		if expired {
-			how = "expired"
-		}
-		detail := fmt.Sprintf("lease takeover from %s (token %d %s)", prev.Node, prev.Token, how)
+		detail := TakeoverDetail(prev.Node, prev.Token, expired)
 		if last.State == StateRunning {
 			takeover = true
 			if _, err := j.Append(StateQueued, last.Attempt, detail); err != nil {

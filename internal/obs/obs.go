@@ -303,7 +303,7 @@ func spanEvents(jt *JobTimeline, recs []jobs.Record, spans []telemetry.Span) []E
 // written under the given token.
 func takeoverJournaled(recs []jobs.Record, token uint64) bool {
 	for _, rec := range recs {
-		if rec.Token == token && strings.HasPrefix(rec.Detail, "lease takeover from ") {
+		if rec.Token == token && jobs.IsTakeoverDetail(rec.Detail) {
 			return true
 		}
 	}
@@ -417,7 +417,7 @@ func (r *Report) summarize() {
 					node(ev.Node).Claims++
 				}
 			case "journal":
-				if strings.HasPrefix(ev.Detail, "lease takeover from ") && ev.Node != "" {
+				if jobs.IsTakeoverDetail(ev.Detail) && ev.Node != "" {
 					node(ev.Node).Takeovers++
 				}
 				if ev.Node != "" {

@@ -3,7 +3,6 @@ package place
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -19,25 +18,18 @@ import (
 	"repro/internal/rng"
 )
 
-// CheckpointVersion is the current single-run checkpoint format version.
-// Decoders reject versions they do not understand instead of misreading
-// them.
-const CheckpointVersion = 1
-
-// TemperCheckpointVersion is the current tempering-checkpoint format
-// version.
-const TemperCheckpointVersion = 1
-
-// Header magics: the first field of the header line names the kind.
-const (
-	checkpointMagic       = "twmc-checkpoint"
-	temperCheckpointMagic = "twmc-temper-checkpoint"
-)
-
-// maxCheckpointPayload bounds the JSON payload a decoder will read, so a
-// corrupted or hostile header cannot make LoadCheckpoint allocate without
-// limit. 1 GiB is orders of magnitude above any realistic placement.
+// The two checkpoint kinds are two frame blob formats: the magic, the
+// header's first field, names the kind, and a decoder refuses any other
+// version instead of misreading it. maxCheckpointPayload bounds the JSON
+// payload a decoder will read, so a corrupted or hostile header cannot make
+// LoadCheckpoint allocate without limit; 1 GiB is orders of magnitude above
+// any realistic placement.
 const maxCheckpointPayload = 1 << 30
+
+var (
+	checkpointFormat       = frame.Format{Magic: "twmc-checkpoint", Version: 1, Max: maxCheckpointPayload}
+	temperCheckpointFormat = frame.Format{Magic: "twmc-temper-checkpoint", Version: 1, Max: maxCheckpointPayload}
+)
 
 // CostAccum carries the placement's incremental cost accumulators with
 // exact bit patterns. Resuming restores these directly instead of
@@ -179,7 +171,7 @@ type TemperCheckpoint struct {
 // validate checks a single-run checkpoint against the circuit: the shared
 // header, the inner-iteration index, then the run.
 func (ck *Checkpoint) validate(c *netlist.Circuit) error {
-	if err := validateHeader(c, "checkpoint", ck.Version, CheckpointVersion, ck.Circuit, ck.Core, ck.ST, ck.P2); err != nil {
+	if err := validateHeader(c, "checkpoint", ck.Version, checkpointFormat.Version, ck.Circuit, ck.Core, ck.ST, ck.P2); err != nil {
 		return err
 	}
 	if ck.InnerDone < -1 {
@@ -191,7 +183,7 @@ func (ck *Checkpoint) validate(c *netlist.Circuit) error {
 // validate checks a tempering checkpoint against the circuit: the shared
 // header, the ladder size, then every rung as a run.
 func (ck *TemperCheckpoint) validate(c *netlist.Circuit) error {
-	if err := validateHeader(c, "tempering checkpoint", ck.Version, TemperCheckpointVersion, ck.Circuit, ck.Core, ck.ST, ck.P2); err != nil {
+	if err := validateHeader(c, "tempering checkpoint", ck.Version, temperCheckpointFormat.Version, ck.Circuit, ck.Core, ck.ST, ck.P2); err != nil {
 		return err
 	}
 	if ck.Replicas < 2 || ck.Replicas != len(ck.Reps) {
@@ -249,37 +241,44 @@ func (r *RunCheckpoint) validate(c *netlist.Circuit, who string) error {
 	return nil
 }
 
-// validateCellStates range-checks per-cell states from a checkpoint against
-// the circuit, so corrupt snapshots surface as errors rather than panics.
+// validateCellStates checks per-cell states from a checkpoint against the
+// circuit (checkCellState), so corrupt snapshots surface as errors rather
+// than panics.
 func validateCellStates(c *netlist.Circuit, who string, states []CellState) error {
-	for i, st := range states {
-		cl := &c.Cells[i]
-		if st.Orient < 0 || st.Orient >= geom.NumOrients {
-			return fmt.Errorf("place: %s cell %q: bad orientation %d", who, cl.Name, st.Orient)
-		}
-		if st.Instance < 0 || st.Instance >= len(cl.Instances) {
-			return fmt.Errorf("place: %s cell %q: no instance %d", who, cl.Name, st.Instance)
-		}
-		if math.IsNaN(st.Aspect) || math.IsInf(st.Aspect, 0) || st.Aspect < 0 {
-			return fmt.Errorf("place: %s cell %q: bad aspect %v", who, cl.Name, st.Aspect)
-		}
-		for u, a := range st.Units {
-			if a.Edge < 0 || a.Edge > 3 || a.Site < 0 {
-				return fmt.Errorf("place: %s cell %q unit %d: bad assignment (%d,%d)",
-					who, cl.Name, u, a.Edge, a.Site)
-			}
+	for i := range states {
+		if err := checkCellState(c, i, &states[i]); err != nil {
+			return fmt.Errorf("place: %s cell %q: %w", who, c.Cells[i].Name, err)
 		}
 	}
 	return nil
 }
 
-// unitCountsMatch verifies the per-cell uncommitted-unit counts against the
-// built placement (which knows the unit structure, unlike the raw circuit).
-func unitCountsMatch(p *Placement, states []CellState) error {
-	for i := range states {
-		if len(states[i].Units) != len(p.units[i]) {
-			return fmt.Errorf("place: checkpoint cell %q has %d unit assignments, placement has %d units",
-				p.Circuit.Cells[i].Name, len(states[i].Units), len(p.units[i]))
+// checkCellState is the one check of a loaded state of cell i, shared by
+// checkpoints and ReadPlacement: a valid orientation and instance, a finite
+// non-negative aspect that, for a custom-shape instance, the instance's
+// ClampAspect leaves unchanged (every producer clamps), and one unit
+// assignment per uncommitted pin unit, on an edge 0..3 at one of the cell's
+// sites per edge.
+func checkCellState(c *netlist.Circuit, i int, st *CellState) error {
+	cl := &c.Cells[i]
+	if st.Orient < 0 || st.Orient >= geom.NumOrients {
+		return fmt.Errorf("bad orientation %d", st.Orient)
+	}
+	if st.Instance < 0 || st.Instance >= len(cl.Instances) {
+		return fmt.Errorf("no instance %d", st.Instance)
+	}
+	if math.IsNaN(st.Aspect) || math.IsInf(st.Aspect, 0) || st.Aspect < 0 {
+		return fmt.Errorf("bad aspect %v", st.Aspect)
+	}
+	if in := &cl.Instances[st.Instance]; in.IsCustomShape() && in.ClampAspect(st.Aspect) != st.Aspect {
+		return fmt.Errorf("aspect %v outside instance %d's range", st.Aspect, st.Instance)
+	}
+	if n := len(buildUnits(c, cl)); len(st.Units) != n {
+		return fmt.Errorf("%d unit assignments, cell has %d units", len(st.Units), n)
+	}
+	for u, a := range st.Units {
+		if a.Edge < 0 || a.Edge > 3 || a.Site < 0 || a.Site >= sitesPerEdge(cl) {
+			return fmt.Errorf("unit %d: bad assignment (%d,%d)", u, a.Edge, a.Site)
 		}
 	}
 	return nil
@@ -329,96 +328,57 @@ func (a *AnyCheckpoint) String() string {
 	return fmt.Sprintf("%s at step %d (single anneal)", a.Single.Circuit, a.Single.Ctl.Step)
 }
 
-// version returns the payload's own format version.
-func (a *AnyCheckpoint) version() int {
+// kind returns the checkpoint's format, the snapshot it frames, and the
+// snapshot's own Version.
+func (a *AnyCheckpoint) kind() (frame.Format, any, int) {
 	if a.Temper != nil {
-		return a.Temper.Version
+		return temperCheckpointFormat, a.Temper, a.Temper.Version
 	}
-	return a.Single.Version
+	return checkpointFormat, a.Single, a.Single.Version
 }
 
-// EncodeCheckpoint writes ck to w: a single header line
+// EncodeCheckpoint writes ck to w as a frame blob: the header line
 //
 //	MAGIC VERSION CRC32C PAYLOADLEN
 //
-// followed by the JSON payload. MAGIC is twmc-checkpoint for a single run
-// and twmc-temper-checkpoint for a tempering ladder. The checksum
+// then the JSON payload. MAGIC is twmc-checkpoint for a single run and
+// twmc-temper-checkpoint for a tempering ladder. The checksum
 // (CRC-32/Castagnoli of the payload bytes) lets the decoder reject torn or
-// bit-rotted files.
+// bit-rotted files. A snapshot whose own Version is not its format's is
+// refused, since DecodeCheckpoint would refuse the file.
 func EncodeCheckpoint(w io.Writer, ck *AnyCheckpoint) error {
-	magic, v := checkpointMagic, any(ck.Single)
-	if ck.Temper != nil {
-		magic, v = temperCheckpointMagic, ck.Temper
+	f, v, version := ck.kind()
+	if version != f.Version {
+		return fmt.Errorf("place: encode checkpoint: payload version %d, format version %d", version, f.Version)
 	}
-	payload, err := json.Marshal(v)
-	if err != nil {
+	if err := f.WriteBlob(w, v); err != nil {
 		return fmt.Errorf("place: encode checkpoint: %w", err)
 	}
-	sum := frame.Checksum(payload)
-	if _, err := fmt.Fprintf(w, "%s %d %08x %d\n", magic, ck.version(), sum, len(payload)); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
+	return nil
 }
 
 // DecodeCheckpoint reads a checkpoint written by EncodeCheckpoint,
-// whichever its kind, verifying the header, length, and checksum. It sniffs
-// the magic on the stream and then reads incrementally, never past the
-// header and the payload it claims, capped at maxCheckpointPayload. It
-// never panics on malformed input; every defect is a descriptive error.
+// whichever its kind: the magic picks the format, and frame.ReadBlob checks
+// the header, length, checksum and strict JSON payload, reading never past
+// the payload the header declares. The payload's own Version must match the
+// header's. It never panics on malformed input; every defect is a
+// descriptive error.
 func DecodeCheckpoint(r io.Reader) (*AnyCheckpoint, error) {
 	br := bufio.NewReader(r)
 	ck := &AnyCheckpoint{}
-	wantMagic, wantVersion, v := checkpointMagic, CheckpointVersion, any(nil)
-	if head, _ := br.Peek(len(temperCheckpointMagic) + 1); string(head) == temperCheckpointMagic+" " {
+	magic := temperCheckpointFormat.Magic + " "
+	if head, _ := br.Peek(len(magic)); string(head) == magic {
 		ck.Temper = &TemperCheckpoint{}
-		wantMagic, wantVersion, v = temperCheckpointMagic, TemperCheckpointVersion, ck.Temper
 	} else {
 		ck.Single = &Checkpoint{}
-		v = ck.Single
 	}
-
-	header, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("place: checkpoint header: %w", err)
+	f, v, _ := ck.kind()
+	if err := f.ReadBlob(br, v); err != nil {
+		return nil, fmt.Errorf("place: checkpoint: %w", err)
 	}
-	var (
-		magic   string
-		version int
-		sum     uint32
-		size    int64
-	)
-	if _, err := fmt.Sscanf(header, "%s %d %x %d", &magic, &version, &sum, &size); err != nil {
-		return nil, fmt.Errorf("place: malformed checkpoint header %q", header)
-	}
-	if magic != wantMagic {
-		return nil, fmt.Errorf("place: not a checkpoint file (magic %q)", magic)
-	}
-	if version != wantVersion {
-		return nil, fmt.Errorf("place: checkpoint version %d, want %d", version, wantVersion)
-	}
-	if size < 0 || size > maxCheckpointPayload {
-		return nil, fmt.Errorf("place: checkpoint payload size %d out of range", size)
-	}
-	// Read incrementally rather than pre-allocating the claimed size, so a
-	// forged header cannot demand a 1 GiB allocation for a tiny file.
-	payload, err := io.ReadAll(io.LimitReader(br, size))
-	if err != nil {
-		return nil, fmt.Errorf("place: checkpoint payload: %w", err)
-	}
-	if int64(len(payload)) != size {
-		return nil, fmt.Errorf("place: checkpoint truncated: %d of %d payload bytes", len(payload), size)
-	}
-	if got := frame.Checksum(payload); got != sum {
-		return nil, fmt.Errorf("place: checkpoint checksum mismatch: header %08x, payload %08x", sum, got)
-	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return nil, fmt.Errorf("place: checkpoint payload: %w", err)
-	}
-	if ck.version() != version {
+	if _, _, version := ck.kind(); version != f.Version {
 		return nil, fmt.Errorf("place: checkpoint header version %d disagrees with payload version %d",
-			version, ck.version())
+			f.Version, version)
 	}
 	return ck, nil
 }

@@ -3,6 +3,7 @@ package place
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/netlist"
@@ -131,6 +133,37 @@ func TestCheckpointValidateRejectsMismatches(t *testing.T) {
 	check("infinite cost", func(ck *Checkpoint) { ck.Cost.C1 = math.Inf(1) }, "non-finite")
 	check("bad inner index", func(ck *Checkpoint) { ck.InnerDone = -2 }, "inner-iteration")
 	check("empty core", func(ck *Checkpoint) { ck.Core = geom.Rect{} }, "core")
+	// Aspects no producer writes on a custom-shape cell, and a unit too many
+	// or too few: the cell-state check ReadPlacement shares.
+	custom, withUnits := -1, -1
+	for i := range ck.States {
+		if custom < 0 && c.Cells[i].Instances[ck.States[i].Instance].IsCustomShape() {
+			custom = i
+		}
+		if withUnits < 0 && len(ck.States[i].Units) > 0 {
+			withUnits = i
+		}
+	}
+	if custom < 0 || withUnits < 0 {
+		t.Fatal("checkpointed circuit lacks a custom-shape cell or a cell with uncommitted units")
+	}
+	for _, aspect := range []float64{math.NaN(), math.Inf(1), 1e300, -1} {
+		check(fmt.Sprintf("aspect %v", aspect), func(ck *Checkpoint) { ck.States[custom].Aspect = aspect }, "aspect")
+	}
+	check("unit missing", func(ck *Checkpoint) {
+		ck.States[withUnits].Units = ck.States[withUnits].Units[1:]
+	}, "unit assignments")
+	check("unit too many", func(ck *Checkpoint) {
+		ck.States[withUnits].Units = append(ck.States[withUnits].Units, UnitAssign{})
+	}, "unit assignments")
+	// Every producer draws a site below the cell's site count; a site at
+	// 2^31 on edge 0 used to pass and then panic Resume with a negative
+	// index (the placement stores sites as int32).
+	for _, site := range []int{sitesPerEdge(&c.Cells[withUnits]), 1 << 31} {
+		check(fmt.Sprintf("site %d", site), func(ck *Checkpoint) {
+			ck.States[withUnits].Units[0] = UnitAssign{Edge: 0, Site: site}
+		}, "bad assignment")
+	}
 }
 
 func TestSaveCheckpointAtomicNoTempLeftovers(t *testing.T) {
@@ -250,5 +283,62 @@ func TestDecodeCheckpointReadsOnlyFrame(t *testing.T) {
 		if (ck.Temper != nil) != strings.HasPrefix(file, "tempered") {
 			t.Fatalf("%s: decoded the wrong kind: %+v", file, ck)
 		}
+	}
+}
+
+// nonCanonicalCheckpoints returns variants of the encoded checkpoint good
+// that an encoder never writes: six with a non-canonical header over the
+// same payload, and one whose payload carries an unknown field under a
+// canonical header.
+func nonCanonicalCheckpoints(good []byte) []namedInput {
+	nl := bytes.IndexByte(good, '\n')
+	h, payload := strings.Fields(string(good[:nl])), good[nl+1:]
+	with := func(name, header string, payload []byte) namedInput {
+		return namedInput{name, append([]byte(header+"\n"), payload...)}
+	}
+	unknown := append([]byte(`{"Unknown":1,`), payload[1:]...)
+	return []namedInput{
+		with("signed version", h[0]+" +"+h[1]+" "+h[2]+" "+h[3], payload),
+		with("upper-case CRC", h[0]+" "+h[1]+" "+strings.ToUpper(h[2])+" "+h[3], payload),
+		with("zero-padded length", h[0]+" "+h[1]+" "+h[2]+" 00"+h[3], payload),
+		with("length with junk", h[0]+" "+h[1]+" "+h[2]+" "+h[3]+"junk", payload),
+		with("trailing word", h[0]+" "+h[1]+" "+h[2]+" "+h[3]+" extra", payload),
+		with("tab separators", strings.Join(h, "\t"), payload),
+		with("unknown field", fmt.Sprintf("%s %s %08x %d", h[0], h[1], frame.Checksum(unknown), len(unknown)), unknown),
+	}
+}
+
+type namedInput struct {
+	name string
+	data []byte
+}
+
+// TestDecodeCheckpointRejectsNonCanonical holds the decoder to the one
+// header form the encoder writes and to a strict payload: every variant of
+// a pinned checkpoint from nonCanonicalCheckpoints is refused.
+func TestDecodeCheckpointRejectsNonCanonical(t *testing.T) {
+	for _, file := range []string{"single-midstep.ckpt", "tempered-r3.ckpt"} {
+		good, err := os.ReadFile(filepath.Join("testdata", "checkpoints", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range nonCanonicalCheckpoints(good) {
+			if _, err := DecodeCheckpoint(bytes.NewReader(in.data)); err == nil {
+				t.Errorf("%s: %s accepted", file, in.name)
+			}
+		}
+	}
+}
+
+// TestEncodeCheckpointRefusesVersionMismatch pins that the encoder writes
+// nothing the decoder would refuse for a payload version other than its
+// format's.
+func TestEncodeCheckpointRefusesVersionMismatch(t *testing.T) {
+	_, ck, _ := makeCheckpoint(t)
+	bad := *ck
+	bad.Version = checkpointFormat.Version + 1
+	var buf bytes.Buffer
+	if err := EncodeCheckpoint(&buf, &AnyCheckpoint{Single: &bad}); err == nil || buf.Len() != 0 {
+		t.Fatalf("encoded a version-%d payload: err = %v, %d bytes written", bad.Version, err, buf.Len())
 	}
 }

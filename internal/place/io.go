@@ -38,16 +38,25 @@ func WritePlacement(w io.Writer, p *Placement) error {
 
 // ReadPlacement applies a stored placement to p. The file must describe the
 // same circuit (matched by name and cell names); unknown cells are an error.
+// A file may name only some cells; the others keep their state. Each cell
+// state read passes checkCellState, the check checkpoints use, before it is
+// applied; its errors name the cell's line.
 func ReadPlacement(r io.Reader, p *Placement) error {
 	sc := bufio.NewScanner(r)
-	line := 0
-	var cur = -1
+	line, cellLine := 0, 0
+	cur := -1
 	var st CellState
 	var unitIdx int
-	flush := func() {
-		if cur >= 0 {
-			p.SetState(cur, st)
+	flush := func() error {
+		if cur < 0 {
+			return nil
 		}
+		if err := checkCellState(p.Circuit, cur, &st); err != nil {
+			return fmt.Errorf("place: line %d: cell %q: %w", cellLine, p.Circuit.Cells[cur].Name, err)
+		}
+		p.SetState(cur, st)
+		cur = -1
+		return nil
 	}
 	for sc.Scan() {
 		line++
@@ -80,8 +89,9 @@ func ReadPlacement(r io.Reader, p *Placement) error {
 				}
 				v[k] = x
 			}
-			flush()
-			cur = -1
+			if err := flush(); err != nil {
+				return err
+			}
 			p.Core = geom.R(v[0], v[1], v[2], v[3])
 			if p.Est != nil {
 				p.Est.SetCore(p.Core)
@@ -93,7 +103,9 @@ func ReadPlacement(r io.Reader, p *Placement) error {
 			if len(f) != 7 {
 				return fmt.Errorf("place: line %d: cell takes NAME X Y ORIENT INSTANCE ASPECT", line)
 			}
-			flush()
+			if err := flush(); err != nil {
+				return err
+			}
 			ci := p.Circuit.CellByName(f[1])
 			if ci < 0 {
 				return fmt.Errorf("place: line %d: no cell %q in circuit", line, f[1])
@@ -109,10 +121,7 @@ func ReadPlacement(r io.Reader, p *Placement) error {
 			if err3 != nil {
 				return fmt.Errorf("place: line %d: %v", line, err3)
 			}
-			if inst < 0 || inst >= len(p.Circuit.Cells[ci].Instances) {
-				return fmt.Errorf("place: line %d: cell %q has no instance %d", line, f[1], inst)
-			}
-			cur = ci
+			cur, cellLine = ci, line
 			st = p.State(ci)
 			st.Pos = geom.Point{X: x, Y: y}
 			st.Orient = o
@@ -128,14 +137,14 @@ func ReadPlacement(r io.Reader, p *Placement) error {
 			}
 			e, err1 := strconv.Atoi(f[1])
 			s, err2 := strconv.Atoi(f[2])
-			if err1 != nil || err2 != nil || e < 0 || e > 3 || s < 0 {
+			if err1 != nil || err2 != nil {
 				return fmt.Errorf("place: line %d: bad unit assignment", line)
 			}
 			if unitIdx >= len(st.Units) {
 				return fmt.Errorf("place: line %d: too many units for cell %q",
 					line, p.Circuit.Cells[cur].Name)
 			}
-			st.Units[unitIdx] = UnitAssign{Edge: e, Site: s % p.sitesPer[cur]}
+			st.Units[unitIdx] = UnitAssign{Edge: e, Site: s}
 			unitIdx++
 		default:
 			return fmt.Errorf("place: line %d: unknown directive %q", line, f[0])
@@ -144,6 +153,5 @@ func ReadPlacement(r io.Reader, p *Placement) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	flush()
-	return nil
+	return flush()
 }

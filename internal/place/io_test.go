@@ -2,6 +2,7 @@ package place
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -80,5 +81,57 @@ func TestReadPlacementPartial(t *testing.T) {
 	after1 := p.State(1)
 	if before1.Pos != after1.Pos {
 		t.Fatal("unrelated cell changed")
+	}
+}
+
+// TestReadPlacementRejectsBadStates feeds ReadPlacement a written
+// placement with one cell state no producer writes: a custom cell's aspect
+// not a number, infinite, or outside the instance's range, or a unit on a
+// site past the cell's site count. Each must be refused with the cell
+// named, not loaded (a NaN aspect used to load as a one-unit-wide strip, an
+// overlong site was wrapped).
+func TestReadPlacementRejectsBadStates(t *testing.T) {
+	p := newTestPlacement(t, 8, true)
+	Randomize(p, rng.New(5))
+	var sb strings.Builder
+	if err := WritePlacement(&sb, p); err != nil {
+		t.Fatal(err)
+	}
+	ci := -1
+	for i := range p.Circuit.Cells {
+		if p.Circuit.Cells[i].Instances[p.State(i).Instance].IsCustomShape() && p.Units(i) > 0 {
+			ci = i
+			break
+		}
+	}
+	if ci < 0 {
+		t.Fatal("no custom-shape cell with uncommitted units in the test circuit")
+	}
+	name := p.Circuit.Cells[ci].Name
+	for _, tc := range []struct{ name, aspect, site string }{
+		{"NaN aspect", "NaN", ""},
+		{"infinite aspect", "+Inf", ""},
+		{"aspect out of range", "1e300", ""},
+		{"site out of range", "", strconv.Itoa(p.SitesPerEdge(ci))},
+	} {
+		lines := strings.Split(sb.String(), "\n")
+		for k := range lines {
+			f := strings.Fields(lines[k])
+			if len(f) != 7 || f[0] != "cell" || f[1] != name {
+				continue
+			}
+			if tc.aspect != "" {
+				f[6] = tc.aspect
+				lines[k] = strings.Join(f, " ")
+			}
+			if tc.site != "" {
+				lines[k+1] = "  unit 0 " + tc.site
+			}
+		}
+		q := newTestPlacement(t, 8, true)
+		err := ReadPlacement(strings.NewReader(strings.Join(lines, "\n")), q)
+		if err == nil || !strings.Contains(err.Error(), `cell "`+name+`"`) {
+			t.Errorf("%s: err = %v, want an error naming cell %q", tc.name, err, name)
+		}
 	}
 }

@@ -188,10 +188,7 @@ func New(c *netlist.Circuit, core geom.Rect, est *estimate.Estimator) *Placement
 	center := core.Center()
 	for i := range c.Cells {
 		cl := &c.Cells[i]
-		p.sitesPer[i] = cl.SitesPerEdge
-		if p.sitesPer[i] <= 0 {
-			p.sitesPer[i] = DefaultSitesPerEdge
-		}
+		p.sitesPer[i] = sitesPerEdge(cl)
 		p.units[i] = buildUnits(c, cl)
 		p.unitOff[i+1] = p.unitOff[i] + len(p.units[i])
 		p.siteCnt[i] = make([]int16, 4*p.sitesPer[i])
@@ -324,6 +321,14 @@ func buildPinNets(c *netlist.Circuit) [][]int32 {
 		}
 	}
 	return out
+}
+
+// sitesPerEdge is cl's pin-site count per edge.
+func sitesPerEdge(cl *netlist.Cell) int {
+	if cl.SitesPerEdge > 0 {
+		return cl.SitesPerEdge
+	}
+	return DefaultSitesPerEdge
 }
 
 func buildUnits(c *netlist.Circuit, cl *netlist.Cell) []unit {

@@ -471,10 +471,7 @@ func Resume(ctx context.Context, c *netlist.Circuit, ck *AnyCheckpoint, opt Opti
 		return resumeLadder(ctx, c, ck.Temper, o, workers)
 	}
 	sck := ck.Single
-	s, err := restoreRun(c, sck.Core, sck.P2, stage1Config(o, sck.ST, sck.Core, len(c.Cells)), o, sck.run(), sck.InnerDone)
-	if err != nil {
-		return nil, Result{}, err
-	}
+	s := restoreRun(c, sck.Core, sck.P2, stage1Config(o, sck.ST, sck.Core, len(c.Cells)), o, sck.run(), sck.InnerDone)
 	res, err := s.run(ctx)
 	return s.p, res, err
 }
@@ -485,17 +482,9 @@ func Resume(ctx context.Context, c *netlist.Circuit, ck *AnyCheckpoint, opt Opti
 // by cfg and then restored, the best-so-far, and the history. inner is the resume-inner
 // index (-1 at a step boundary). Telemetry resolves under opt and records
 // the resume. Resume uses it once for a single run, the ladder once per
-// rung.
-func restoreRun(c *netlist.Circuit, core geom.Rect, p2 float64, cfg anneal.Config, opt Options, r *RunCheckpoint, inner int) (*annealRun, error) {
+// rung; r must have passed Validate.
+func restoreRun(c *netlist.Circuit, core geom.Rect, p2 float64, cfg anneal.Config, opt Options, r *RunCheckpoint, inner int) *annealRun {
 	p := New(c, core, estimate.New(c, core, opt.Params))
-	if err := unitCountsMatch(p, r.States); err != nil {
-		return nil, err
-	}
-	if r.BestValid {
-		if err := unitCountsMatch(p, r.Best); err != nil {
-			return nil, err
-		}
-	}
 	for i := range r.States {
 		p.SetState(i, cloneState(r.States[i]))
 	}
@@ -533,7 +522,7 @@ func restoreRun(c *netlist.Circuit, core geom.Rect, p2 float64, cfg anneal.Confi
 		s.tel.Progressf("%s: resumed at step %d (inner %d, %d attempts)",
 			s.runLabel, ctl.Step(), inner, r.Attempts)
 	}
-	return s, nil
+	return s
 }
 
 func cloneState(st CellState) CellState {
@@ -776,7 +765,7 @@ func (s *annealRun) snapshot() RunCheckpoint {
 func (s *annealRun) saveCheckpoint(innerDone int) error {
 	r := s.snapshot()
 	ck := &Checkpoint{
-		Version: CheckpointVersion, Circuit: s.p.Circuit.Name, Opt: snapshotOptions(s.opt),
+		Version: checkpointFormat.Version, Circuit: s.p.Circuit.Name, Opt: snapshotOptions(s.opt),
 		Core: s.p.Core, ST: s.st, P2: s.p.P2,
 		Ctl: r.Ctl, Src: r.Src, InnerDone: innerDone, Attempts: r.Attempts, Cost: r.Cost,
 		States: r.States, Best: r.Best, BestCost: r.BestCost, BestValid: r.BestValid, History: r.History,

@@ -93,12 +93,8 @@ func resumeLadder(ctx context.Context, c *netlist.Circuit, tck *TemperCheckpoint
 	seeds := ladderSeeds(o.Seed, tck.Replicas)
 	reps := make([]*annealRun, tck.Replicas)
 	for k := range reps {
-		s, err := restoreRun(c, tck.Core, tck.P2, rungConfig(o, tck.ST, tck.Core, len(c.Cells), k),
+		reps[k] = restoreRun(c, tck.Core, tck.P2, rungConfig(o, tck.ST, tck.Core, len(c.Cells), k),
 			rungOptions(o, seeds, k), &tck.Reps[k], -1)
-		if err != nil {
-			return nil, Result{}, err
-		}
-		reps[k] = s
 	}
 	xsrc := rng.New(0)
 	xsrc.Restore(tck.XSrc)
@@ -257,7 +253,7 @@ func (t *temperRun) buildCheckpoint() *TemperCheckpoint {
 		reps[k] = s.snapshot()
 	}
 	return &TemperCheckpoint{
-		Version:      TemperCheckpointVersion,
+		Version:      temperCheckpointFormat.Version,
 		Circuit:      t.c.Name,
 		Opt:          snapshotOptions(t.opt),
 		Replicas:     len(t.reps),

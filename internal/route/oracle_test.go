@@ -521,7 +521,7 @@ func oracleRoute(g *oracleGraph, nets []Net, opt Options) (*Result, error) {
 
 	src := rng.New(opt.Seed)
 	stall := 0
-	limit := int(float64(opt.M*len(nets))*opt.StallFactor) + 1
+	limit := opt.M*len(nets) + 1
 	// Nets using each edge, maintained lazily: recomputed per pick from
 	// the density structures (N is small enough to scan).
 	netsOnEdge := func(e int) []int {
@@ -612,16 +612,6 @@ func oracleRoute(g *oracleGraph, nets []Net, opt Options) (*Result, error) {
 	res.Length = length
 	res.Excess = excess
 	res.EdgeDensity = density
-	res.NodeDensity = make([]int, g.NumNodes)
-	for i := range nets {
-		touched := map[int]bool{}
-		for _, u := range res.Chosen(i).Nodes {
-			touched[u] = true
-		}
-		for u := range touched {
-			res.NodeDensity[u]++
-		}
-	}
 	return res, nil
 }
 

@@ -23,10 +23,6 @@ type Options struct {
 	M int
 	// Seed drives the phase-two random interchange.
 	Seed uint64
-	// StallFactor scales the phase-two stopping criterion: the algorithm
-	// stops after M·N·StallFactor attempts without a change in L or X
-	// (criterion 2 of §4.2.2). Defaults to 1.
-	StallFactor float64
 	// Tel, when non-nil, receives a routing summary event and metrics.
 	// Observe-only: routing results are identical with or without it.
 	Tel *telemetry.Tracer
@@ -42,9 +38,6 @@ func (o *Options) fill() {
 	if o.M <= 0 {
 		o.M = 20
 	}
-	if o.StallFactor <= 0 {
-		o.StallFactor = 1
-	}
 }
 
 // Result is the outcome of global routing.
@@ -59,9 +52,6 @@ type Result struct {
 	Excess int
 	// EdgeDensity is the number of nets using each graph edge.
 	EdgeDensity []int
-	// NodeDensity is the number of nets touching each graph node; the
-	// refinement step derives required channel widths from it.
-	NodeDensity []int
 	// Attempts counts phase-two new-state attempts.
 	Attempts int
 	// Unrouted lists nets for which phase one found no route.
@@ -260,7 +250,9 @@ func phaseTwo(ctx context.Context, g *Graph, opt Options, res *Result) error {
 
 	src := rng.New(opt.Seed)
 	stall := 0
-	limit := int(float64(opt.M*nets)*opt.StallFactor) + 1
+	// Criterion 2 of §4.2.2: stop after M·N attempts without a change in
+	// L or X.
+	limit := opt.M*nets + 1
 	var cand, candDX []int
 	var cancelled error
 	for excess > 0 && stall < limit {
@@ -315,12 +307,6 @@ func phaseTwo(ctx context.Context, g *Graph, opt Options, res *Result) error {
 	res.Length = length
 	res.Excess = excess
 	res.EdgeDensity = x.density
-	res.NodeDensity = make([]int, g.NumNodes)
-	for i := 0; i < nets; i++ {
-		for _, u := range res.Chosen(i).Nodes { // sorted and unique
-			res.NodeDensity[u]++
-		}
-	}
 	return cancelled
 }
 

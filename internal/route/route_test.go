@@ -437,25 +437,6 @@ func TestRouteDeterministic(t *testing.T) {
 	}
 }
 
-func TestNodeDensity(t *testing.T) {
-	g := gridGraph(t, 3, 1, 1, 10)
-	nets := []Net{
-		{Name: "a", Conns: [][]int{{0}, {2}}},
-		{Name: "b", Conns: [][]int{{0}, {1}}},
-	}
-	res, err := Route(g, nets, Options{M: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Node 0: both nets. Node 1: both (a passes through). Node 2: a only.
-	want := []int{2, 2, 1}
-	for u, w := range want {
-		if res.NodeDensity[u] != w {
-			t.Fatalf("node %d density = %d want %d", u, res.NodeDensity[u], w)
-		}
-	}
-}
-
 // TestFigure10FivePinNet reproduces the §4.2.1 walkthrough: a five-pin net
 // with four distinct pin groups (P3A and P3B electrically equivalent) on a
 // grid-like channel graph. The router must exploit the equivalent pair and

@@ -12,28 +12,12 @@ import (
 	"repro/internal/route"
 )
 
-// Options selects what to draw.
-type Options struct {
-	// ShowExpanded draws the interconnect-expanded cell outlines.
-	ShowExpanded bool
-	// ShowChannels draws the critical regions.
-	ShowChannels bool
-	// ShowRoutes draws the chosen route tree of every net.
-	ShowRoutes bool
-	// ShowPins draws pin markers.
-	ShowPins bool
-	// Scale is the SVG pixels per grid unit (0 = auto to ~800px wide).
-	Scale float64
-}
-
-// WriteSVG renders the placement (and, when given, the channel graph and
-// routing) to w.
-func WriteSVG(w io.Writer, p *place.Placement, g *channel.Graph, r *route.Result, opt Options) error {
+// WriteSVG renders the placement to w, scaled to about 800 px wide: the
+// core, the cells with their interconnect-expanded outlines, and the pins,
+// plus the channels and the chosen route trees when g and r are given.
+func WriteSVG(w io.Writer, p *place.Placement, g *channel.Graph, r *route.Result) error {
 	box := p.Core.Union(p.ExpandedBounds()).InflateUniform(4)
-	scale := opt.Scale
-	if scale <= 0 {
-		scale = 800 / float64(max(1, box.W()))
-	}
+	scale := 800 / float64(max(1, box.W()))
 	width := float64(box.W()) * scale
 	height := float64(box.H()) * scale
 	// SVG y grows downward; flip so chip y grows upward.
@@ -54,7 +38,7 @@ func WriteSVG(w io.Writer, p *place.Placement, g *channel.Graph, r *route.Result
 	rect(p.Core, `fill="none" stroke="#888888" stroke-width="1" stroke-dasharray="6 3"`)
 
 	// Channels under the cells.
-	if opt.ShowChannels && g != nil {
+	if g != nil {
 		for _, reg := range g.Regions {
 			fill := "#dce9f7"
 			if !reg.Vertical {
@@ -65,11 +49,9 @@ func WriteSVG(w io.Writer, p *place.Placement, g *channel.Graph, r *route.Result
 	}
 
 	// Expanded outlines behind the raw cells.
-	if opt.ShowExpanded {
-		for i := range p.Circuit.Cells {
-			for _, t := range p.Tiles(i).Tiles() {
-				rect(t, `fill="none" stroke="#c0c0c0" stroke-width="0.8"`)
-			}
+	for i := range p.Circuit.Cells {
+		for _, t := range p.Tiles(i).Tiles() {
+			rect(t, `fill="none" stroke="#c0c0c0" stroke-width="0.8"`)
 		}
 	}
 
@@ -86,16 +68,14 @@ func WriteSVG(w io.Writer, p *place.Placement, g *channel.Graph, r *route.Result
 	}
 
 	// Pins.
-	if opt.ShowPins {
-		for pi := range p.Circuit.Pins {
-			pt := p.PinPos(pi)
-			fmt.Fprintf(w, `  <circle cx="%.1f" cy="%.1f" r="1.6" fill="#d62728"/>`+"\n",
-				tx(pt.X), ty(pt.Y))
-		}
+	for pi := range p.Circuit.Pins {
+		pt := p.PinPos(pi)
+		fmt.Fprintf(w, `  <circle cx="%.1f" cy="%.1f" r="1.6" fill="#d62728"/>`+"\n",
+			tx(pt.X), ty(pt.Y))
 	}
 
 	// Routes: polylines through region centers.
-	if opt.ShowRoutes && g != nil && r != nil {
+	if g != nil && r != nil {
 		for ni := range r.Choice {
 			tree := r.Chosen(ni)
 			for _, ei := range tree.Edges {

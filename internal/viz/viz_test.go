@@ -21,12 +21,7 @@ func TestWriteSVG(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	err = WriteSVG(&sb, res.Placement, res.Stage2.Graph, res.Stage2.Routing, Options{
-		ShowExpanded: true,
-		ShowChannels: true,
-		ShowRoutes:   true,
-		ShowPins:     true,
-	})
+	err = WriteSVG(&sb, res.Placement, res.Stage2.Graph, res.Stage2.Routing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +59,7 @@ func TestWriteSVGMinimal(t *testing.T) {
 	}
 	var sb strings.Builder
 	// No graph/routing: placement only.
-	if err := WriteSVG(&sb, res.Placement, nil, nil, Options{}); err != nil {
+	if err := WriteSVG(&sb, res.Placement, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "<svg") {
