@@ -212,3 +212,28 @@ func TestLoadRefusesBadAspect(t *testing.T) {
 		t.Fatalf("-load of a NaN aspect: exit %d, want 1 naming cell %q:\n%s", code, name, out)
 	}
 }
+
+// TestLoadKeepsBookkeeping saves a placement and loads it back with -drc:
+// the file's core line moves the placement off its placeholder core, and
+// the sign-off must find the incremental costs in step with a recompute.
+// Raw overlaps of the short anneal may remain, so the exit code is not
+// asserted; only the bookkeeping check is.
+func TestLoadKeepsBookkeeping(t *testing.T) {
+	dir := t.TempDir()
+	saved := filepath.Join(dir, "p.twp")
+	base := []string{"-preset", "i3", "-ac", "10", "-workers", "1"}
+	cmd, out := twmcCmd(append(base, "-seed", "1", "-out", saved)...)
+	if code := exitCode(t, cmd.Run(), out); code != 0 && code != 4 {
+		t.Fatalf("saving run exited %d:\n%s", code, out)
+	}
+	cmd, out = twmcCmd(append(base, "-load", saved, "-stage1-only", "-drc")...)
+	if code := exitCode(t, cmd.Run(), out); code != 0 && code != 4 {
+		t.Fatalf("-load -drc exited %d:\n%s", code, out)
+	}
+	if !strings.Contains(out.String(), "drc:") {
+		t.Fatalf("-load -drc printed no DRC report:\n%s", out)
+	}
+	if strings.Contains(out.String(), "bookkeeping") {
+		t.Fatalf("-load -drc reports a bookkeeping violation:\n%s", out)
+	}
+}

@@ -135,100 +135,87 @@ func Build(p *place.Placement) (*Graph, error) {
 		r.ID = len(g.Regions)
 		g.Regions = append(g.Regions, r)
 	}
-	// emptySpans subtracts cell coverage of the strip from the interval
-	// [lo,hi) along the span axis and returns the maximal empty
-	// sub-intervals: where a third cell clips the common span of a facing
-	// pair, the remaining empty slabs are still critical regions
+	// pairScan adds the critical regions between facing edge pairs on one
+	// axis: a right-facing edge at x=a and a left-facing edge at x=b>a for
+	// vertical pairs, an up-facing edge at y=a and a down-facing edge at
+	// y=b>a for horizontal ones. Where their spans overlap, cell coverage
+	// of the strip between them is subtracted from the common span, and
+	// each maximal empty slab left is a critical region: where a third cell
+	// clips the strip, the remaining slabs are still critical regions
 	// (Figure 8's regions jointly tile all empty space).
-	emptySpans := func(strip geom.Rect, vertical bool, lo, hi int) [][2]int {
-		blocked := make([][2]int, 0, 4)
-		for _, ts := range tiles {
-			for _, t := range ts.Tiles() {
-				if !t.Intersects(strip) {
+	var blocked [][2]int
+	pairScan := func(vertical bool) {
+		low, high := geom.DirUp, geom.DirDown
+		if vertical {
+			low, high = geom.DirRight, geom.DirLeft
+		}
+		// along is the extent of the box (x0,y0)-(x1,y1) along the edges;
+		// rect is the strip between the edges at a and b over [lo,hi)
+		// along them.
+		along := func(x0, y0, x1, y1 int) (int, int) {
+			if vertical {
+				return y0, y1
+			}
+			return x0, x1
+		}
+		rect := func(a, b, lo, hi int) geom.Rect {
+			if vertical {
+				return geom.R(a, lo, b, hi)
+			}
+			return geom.R(lo, a, hi, b)
+		}
+		for _, e1 := range edges {
+			if e1.e.Dir != low {
+				continue
+			}
+			lo1, hi1 := along(e1.e.A.X, e1.e.A.Y, e1.e.B.X, e1.e.B.Y)
+			for _, e2 := range edges {
+				if e2.e.Dir != high || e1.owner == e2.owner {
 					continue
 				}
-				if vertical {
-					blocked = append(blocked, [2]int{max(t.YLo, lo), min(t.YHi, hi)})
-				} else {
-					blocked = append(blocked, [2]int{max(t.XLo, lo), min(t.XHi, hi)})
+				a, b := e1.e.Coordinate(), e2.e.Coordinate()
+				if b <= a {
+					continue
+				}
+				lo2, hi2 := along(e2.e.A.X, e2.e.A.Y, e2.e.B.X, e2.e.B.Y)
+				lo, hi := max(lo1, lo2), min(hi1, hi2)
+				if hi <= lo {
+					continue
+				}
+				strip := rect(a, b, lo, hi)
+				blocked = blocked[:0]
+				for _, ts := range tiles {
+					for _, t := range ts.Tiles() {
+						if t.Intersects(strip) {
+							tlo, thi := along(t.XLo, t.YLo, t.XHi, t.YHi)
+							blocked = append(blocked, [2]int{max(tlo, lo), min(thi, hi)})
+						}
+					}
+				}
+				sort.Slice(blocked, func(i, j int) bool { return blocked[i][0] < blocked[j][0] })
+				slab := func(s0, s1 int) {
+					addRegion(Region{
+						Rect: rect(a, b, s0, s1), Vertical: vertical,
+						OwnerA: e1.owner, OwnerB: e2.owner,
+						Width: b - a,
+					})
+				}
+				cur := lo
+				for _, bl := range blocked {
+					if bl[0] > cur {
+						slab(cur, bl[0])
+					}
+					cur = max(cur, bl[1])
+				}
+				if cur < hi {
+					slab(cur, hi)
 				}
 			}
 		}
-		sort.Slice(blocked, func(i, j int) bool { return blocked[i][0] < blocked[j][0] })
-		var out [][2]int
-		cur := lo
-		for _, b := range blocked {
-			if b[0] > cur {
-				out = append(out, [2]int{cur, b[0]})
-			}
-			if b[1] > cur {
-				cur = b[1]
-			}
-		}
-		if cur < hi {
-			out = append(out, [2]int{cur, hi})
-		}
-		return out
 	}
-
-	// Vertical pairs: a right-facing edge at x=a vs. a left-facing edge at
-	// x=b>a with overlapping spans; each empty slab of the strip between
-	// them is a critical region.
-	for _, e1 := range edges {
-		if e1.e.Dir != geom.DirRight {
-			continue
-		}
-		for _, e2 := range edges {
-			if e2.e.Dir != geom.DirLeft || e1.owner == e2.owner {
-				continue
-			}
-			a, b := e1.e.Coordinate(), e2.e.Coordinate()
-			if b <= a {
-				continue
-			}
-			ylo := max(e1.e.A.Y, e2.e.A.Y)
-			yhi := min(e1.e.B.Y, e2.e.B.Y)
-			if yhi <= ylo {
-				continue
-			}
-			strip := geom.R(a, ylo, b, yhi)
-			for _, span := range emptySpans(strip, true, ylo, yhi) {
-				addRegion(Region{
-					Rect: geom.R(a, span[0], b, span[1]), Vertical: true,
-					OwnerA: e1.owner, OwnerB: e2.owner,
-					Width: b - a,
-				})
-			}
-		}
-	}
-	// Horizontal pairs.
-	for _, e1 := range edges {
-		if e1.e.Dir != geom.DirUp {
-			continue
-		}
-		for _, e2 := range edges {
-			if e2.e.Dir != geom.DirDown || e1.owner == e2.owner {
-				continue
-			}
-			a, b := e1.e.Coordinate(), e2.e.Coordinate()
-			if b <= a {
-				continue
-			}
-			xlo := max(e1.e.A.X, e2.e.A.X)
-			xhi := min(e1.e.B.X, e2.e.B.X)
-			if xhi <= xlo {
-				continue
-			}
-			strip := geom.R(xlo, a, xhi, b)
-			for _, span := range emptySpans(strip, false, xlo, xhi) {
-				addRegion(Region{
-					Rect: geom.R(span[0], a, span[1], b), Vertical: false,
-					OwnerA: e1.owner, OwnerB: e2.owner,
-					Width: b - a,
-				})
-			}
-		}
-	}
+	// Vertical pairs first, then horizontal: region ids follow this order.
+	pairScan(true)
+	pairScan(false)
 	if len(g.Regions) == 0 {
 		return nil, fmt.Errorf("channel: no critical regions (no empty space in core?)")
 	}

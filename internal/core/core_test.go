@@ -145,6 +145,11 @@ func TestResume(t *testing.T) {
 			t.Fatalf("cell %d position lost on resume", i)
 		}
 	}
+	// The file's core line moves the placement off its placeholder core;
+	// the cost bookkeeping must follow it exactly.
+	if err := r2.Placement.Validate(); err != nil {
+		t.Fatalf("reloaded placement: %v", err)
+	}
 	// Resume with Stage 2: runs and routes.
 	r3, err := Run(context.Background(), c, Start{Placement: strings.NewReader(sb.String())}, Options{Seed: 5, Ac: 10, M: 4})
 	if err != nil {
@@ -152,6 +157,9 @@ func TestResume(t *testing.T) {
 	}
 	if r3.Stage2 == nil || len(r3.Stage2.Routing.Choice) != len(c.Nets) {
 		t.Fatal("resume did not route")
+	}
+	if err := r3.Placement.Validate(); err != nil {
+		t.Fatalf("refined reloaded placement: %v", err)
 	}
 	// Bad file rejected.
 	if _, err := Run(context.Background(), c, Start{Placement: strings.NewReader("placement other\n")}, Options{}); err == nil {

@@ -1,6 +1,7 @@
 package drc_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -52,6 +53,42 @@ func TestFullFlowPassesDRC(t *testing.T) {
 	}
 	if r.Errors()+r.Warnings() != len(r.Violations) {
 		t.Error("severity accounting inconsistent")
+	}
+}
+
+// TestCheckObservesOnly: the sign-off compares the placement's incremental
+// cost accumulators with a recompute but must leave them bit-identical.
+// Fractional net weights make the incremental C1 drift from a recompute in
+// the last ulp over a flow's move history, so a check that kept the
+// recomputed values would show.
+func TestCheckObservesOnly(t *testing.T) {
+	c, err := gen.Generate(gen.Spec{
+		Name: "drc", Cells: 10, Nets: 24, Pins: 80,
+		DimX: 300, DimY: 300, CustomFrac: 0.2,
+	}, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := range c.Nets {
+		c.Nets[n].HWeight = 1 + float64(n%7)/10
+		c.Nets[n].VWeight = 1 / float64(n%3+1)
+	}
+	res, err := core.Place(c, core.Options{Seed: 2, Ac: 30, M: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := res.Placement
+	type costs struct {
+		c1, teil, c3 uint64
+		c2           int64
+	}
+	get := func() costs {
+		return costs{math.Float64bits(p.C1()), math.Float64bits(p.TEIL()), math.Float64bits(p.C3()), p.C2Raw()}
+	}
+	before := get()
+	drc.Check(p, res.Stage2.Graph, res.Stage2.Routing)
+	if after := get(); after != before {
+		t.Fatalf("drc.Check changed the placement's costs: %+v -> %+v", before, after)
 	}
 }
 

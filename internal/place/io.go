@@ -92,13 +92,7 @@ func ReadPlacement(r io.Reader, p *Placement) error {
 			if err := flush(); err != nil {
 				return err
 			}
-			p.Core = geom.R(v[0], v[1], v[2], v[3])
-			if p.Est != nil {
-				p.Est.SetCore(p.Core)
-			}
-			// The index grid was sized for the old core; re-bin so
-			// neighbor queries stay cheap over the loaded region.
-			p.RebuildIndex()
+			p.setCore(geom.R(v[0], v[1], v[2], v[3]))
 		case "cell":
 			if len(f) != 7 {
 				return fmt.Errorf("place: line %d: cell takes NAME X Y ORIENT INSTANCE ASPECT", line)

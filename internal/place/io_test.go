@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/estimate"
+	"repro/internal/geom"
 	"repro/internal/rng"
 )
 
@@ -44,6 +46,45 @@ func TestPlacementRoundTrip(t *testing.T) {
 	}
 	if err := q.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadPlacementCoreKeepsCostsExact loads a saved placement into
+// placements on other cores, one in static mode (as core.Run's -load path
+// does) and one with an estimator: the file's core line must leave C2
+// equal to a full recompute, and TEIL (an integer span sum) equal to the
+// saved placement's.
+func TestReadPlacementCoreKeepsCostsExact(t *testing.T) {
+	p := newTestPlacement(t, 8, true)
+	Randomize(p, rng.New(5))
+	var sb strings.Builder
+	if err := WritePlacement(&sb, p); err != nil {
+		t.Fatal(err)
+	}
+	c := p.Circuit
+	other := geom.R(0, 0, p.Core.W()/2, p.Core.H()/3)
+	for _, q := range []*Placement{
+		New(c, geom.R(0, 0, 1, 1), nil),
+		New(c, other, estimate.New(c, other, estimate.DefaultParams())),
+	} {
+		if err := ReadPlacement(strings.NewReader(sb.String()), q); err != nil {
+			t.Fatal(err)
+		}
+		if q.Core != p.Core {
+			t.Fatalf("core %v, want %v", q.Core, p.Core)
+		}
+		if err := q.Validate(); err != nil {
+			t.Fatalf("static=%v: %v", q.Est == nil, err)
+		}
+		if got, want := q.C2Raw(), scanC2(q); got != want {
+			t.Fatalf("static=%v: C2 %d, full scan %d", q.Est == nil, got, want)
+		}
+		if q.TEIL() != p.TEIL() {
+			t.Fatalf("static=%v: TEIL %v, want %v", q.Est == nil, q.TEIL(), p.TEIL())
+		}
+		if q.Est != nil && q.C2Raw() != p.C2Raw() {
+			t.Fatalf("estimator-attached reload: C2 %d, want %d", q.C2Raw(), p.C2Raw())
+		}
 	}
 }
 

@@ -121,22 +121,17 @@ type Placement struct {
 	netBox   []geom.Rect  // bounding box of primary pins per net
 	// netDirty marks nets whose cached bounding box is stale because a
 	// primary pin actually changed position. Clean nets skip the pin scan in
-	// updateCell — the cached box is bit-identical to a recomputation, and
+	// refreshCell — the cached box is bit-identical to a recomputation, and
 	// the cost accumulators still see the exact subtract/add sequence.
 	netDirty []bool
 	pinNets  [][]int32 // nets using each pin as a primary connection
 	siteCnt  [][]int16 // occupancy per cell: [4*S] flattened
 
-	// index accelerates the overlap terms by restricting each evaluation
-	// to spatial neighbors; nil forces the exact full scan (identical
-	// values either way — see cellIndex).
+	// index restricts each overlap evaluation to spatial neighbors; the
+	// values equal the full O(N) scan exactly (see cellIndex), which the
+	// package tests keep as their oracle.
 	index    *cellIndex
 	queryBuf []int32
-
-	// overlap-kernel statistics: evaluations of overlapContrib and cells
-	// actually tested, for the BenchmarkOverlapKernel cells/eval metric.
-	statEvals  int64
-	statTested int64
 
 	// scratchState is the reusable CellState buffer behind Randomize;
 	// calibStates/calibUnits are the full-placement snapshot CalibrateP2
@@ -226,7 +221,7 @@ func New(c *netlist.Circuit, core geom.Rect, est *estimate.Estimator) *Placement
 	for i := range c.Cells {
 		p.realizeCell(i)
 	}
-	p.RebuildIndex()
+	p.rebuildIndex()
 	p.RecomputeAll()
 	return p
 }
@@ -238,41 +233,32 @@ func (p *Placement) indexBox(i int) geom.Rect {
 	return p.rawBB[i].Union(p.tileBB[i])
 }
 
-// RebuildIndex reconstructs the spatial overlap index from the current
-// geometry. Callers that bulk-replace state outside SetState (or change
-// Core) use this to restore O(neighbors) overlap evaluation; it is also how
-// EnableIndex(true) re-activates an index after benchmarking the full scan.
-func (p *Placement) RebuildIndex() {
+// rebuildIndex builds the spatial overlap index from the current geometry,
+// with its grid sized for the current core.
+func (p *Placement) rebuildIndex() {
 	p.index = newCellIndex(p.Core, len(p.Circuit.Cells))
 	for i := range p.Circuit.Cells {
 		p.index.update(i, p.indexBox(i))
 	}
 }
 
-// EnableIndex toggles the spatial overlap index. Disabling reverts every
-// overlap evaluation to the exact O(n) scan; both modes produce
-// bit-identical cost values (the index only filters pairs whose overlap is
-// provably zero). Used by benchmarks and equivalence tests.
-func (p *Placement) EnableIndex(on bool) {
-	if !on {
-		p.index = nil
-		return
+// setCore moves the placement onto a new core rectangle. The core bounds
+// the border term of C2 and, in dynamic mode, the estimator's expansions,
+// so every cell is re-realized under an attached estimator, the index is
+// re-binned for the new region, and C2 is recomputed from scratch. C1,
+// TEIL and C3 depend only on pin positions and site counts, which the core
+// does not move, so they keep their exact incremental values.
+func (p *Placement) setCore(core geom.Rect) {
+	p.Core = core
+	if p.Est != nil {
+		p.Est.SetCore(core)
+		for i := range p.Circuit.Cells {
+			p.realizeCell(i)
+		}
 	}
-	if p.index == nil {
-		p.RebuildIndex()
-	}
+	p.rebuildIndex()
+	p.c2 = p.overlapAll()
 }
-
-// OverlapStats returns the number of overlap-kernel evaluations and the
-// total cells tested since the last ResetOverlapStats: tested/evals is the
-// average per-move candidate count (N-1 for the full scan, the neighbor
-// count for the indexed path).
-func (p *Placement) OverlapStats() (evals, tested int64) {
-	return p.statEvals, p.statTested
-}
-
-// ResetOverlapStats zeroes the overlap-kernel counters.
-func (p *Placement) ResetOverlapStats() { p.statEvals, p.statTested = 0, 0 }
 
 func buildNetPrimary(c *netlist.Circuit) [][]int {
 	out := make([][]int, len(c.Nets))
@@ -308,7 +294,7 @@ func buildCellNets(c *netlist.Circuit) [][]int {
 // buildPinNets inverts the net→primary-pin relation: for each pin, the nets
 // it drives a bounding-box corner of. Every net listed for a pin of cell i
 // also appears in cellNets[i], so a dirty mark set while realizing cell i is
-// always cleared by updateCell's add pass over cellNets[i].
+// always cleared by refreshCell's add pass over cellNets[i].
 func buildPinNets(c *netlist.Circuit) [][]int32 {
 	out := make([][]int32, len(c.Pins))
 	for ni := range c.Nets {
@@ -454,12 +440,9 @@ func (p *Placement) SetStaticExpansion(i int, sides [4]int) {
 	p.refreshCell(i)
 }
 
-// StaticExpansion returns cell i's static per-side expansions.
-func (p *Placement) StaticExpansion(i int) [4]int { return p.static[i] }
-
 // instanceDims returns the canonical width/height of the chosen instance,
-// cached by realizeCell (callers on the subtract side of refreshCell see the
-// pre-move dimensions, exactly as reading the not-yet-written scalars would).
+// cached by realizeCell: callers on the subtract side of refreshCell see the
+// pre-move dimensions although SetState has already written the new scalars.
 func (p *Placement) instanceDims(i int) (w, h int) {
 	return p.dimW[i], p.dimH[i]
 }
@@ -673,27 +656,13 @@ func (p *Placement) siteContrib(i int) float64 {
 }
 
 // overlapContrib computes Σ_j O(i,j) over j ≠ i plus the core-border
-// overlap (the dummy cells of footnote 16). With the spatial index only
-// cells whose bins intersect cell i's box are tested; the sum is
-// bit-identical to the full scan because skipped pairs have disjoint
-// bounding boxes and hence zero overlap area.
+// overlap (the dummy cells of footnote 16). Only cells whose bins intersect
+// cell i's box are tested; the sum equals the full scan exactly because
+// skipped pairs have disjoint bounding boxes and hence zero overlap area.
 func (p *Placement) overlapContrib(i int) int64 {
 	var sum int64
 	ti := &p.tiles[i]
-	p.statEvals++
-	if p.index == nil {
-		p.statTested += int64(len(p.tiles) - 1)
-		for j := range p.tiles {
-			if j == i {
-				continue
-			}
-			sum += ti.Overlap(&p.tiles[j])
-		}
-		sum += p.borderOverlap(i)
-		return sum
-	}
 	p.queryBuf = p.index.query(p.tileBB[i], i, p.queryBuf[:0])
-	p.statTested += int64(len(p.queryBuf))
 	for _, j := range p.queryBuf {
 		sum += ti.Overlap(&p.tiles[j])
 	}
@@ -721,20 +690,12 @@ func (p *Placement) borderOverlap(i int) int64 {
 // actual cell-on-cell overlap, excluding interconnect-space conflicts.
 func (p *Placement) RawOverlap() int64 {
 	var sum int64
-	if p.index != nil {
-		for i := range p.rawTiles {
-			p.queryBuf = p.index.query(p.rawBB[i], i, p.queryBuf[:0])
-			for _, j := range p.queryBuf {
-				if int(j) > i { // count each pair once
-					sum += p.rawTiles[i].Overlap(&p.rawTiles[j])
-				}
-			}
-		}
-		return sum
-	}
 	for i := range p.rawTiles {
-		for j := i + 1; j < len(p.rawTiles); j++ {
-			sum += p.rawTiles[i].Overlap(&p.rawTiles[j])
+		p.queryBuf = p.index.query(p.rawBB[i], i, p.queryBuf[:0])
+		for _, j := range p.queryBuf {
+			if int(j) > i { // count each pair once
+				sum += p.rawTiles[i].Overlap(&p.rawTiles[j])
+			}
 		}
 	}
 	return sum
@@ -773,11 +734,11 @@ func (p *Placement) netBoxFor(n int) geom.Rect {
 	return b
 }
 
-// RecomputeAll rebuilds every cost term from scratch. Used at construction,
-// after bulk state changes, and by tests to validate incremental updates.
+// RecomputeAll rebuilds every cost term from scratch by brute force, every
+// cell pair included: the ground truth that New starts from and Validate
+// compares against.
 func (p *Placement) RecomputeAll() {
 	p.c1, p.teil, p.c3 = 0, 0, 0
-	p.c2 = 0
 	for n := range p.Circuit.Nets {
 		p.netBox[n] = p.netBoxFor(n)
 		p.netDirty[n] = false
@@ -785,19 +746,40 @@ func (p *Placement) RecomputeAll() {
 		p.c1 += w
 		p.teil += s
 	}
+	p.c2 = p.overlapAll()
 	for i := range p.tiles {
-		for j := i + 1; j < len(p.tiles); j++ {
-			p.c2 += p.tiles[i].Overlap(&p.tiles[j])
-		}
-		p.c2 += p.borderOverlap(i)
 		p.c3 += p.siteContrib(i)
 	}
 }
 
+// overlapAll is C2 by brute force: the overlap of every cell pair plus
+// every cell's border overlap.
+func (p *Placement) overlapAll() int64 {
+	var sum int64
+	for i := range p.tiles {
+		for j := i + 1; j < len(p.tiles); j++ {
+			sum += p.tiles[i].Overlap(&p.tiles[j])
+		}
+		sum += p.borderOverlap(i)
+	}
+	return sum
+}
+
+// costs returns the incremental cost accumulators.
+func (p *Placement) costs() CostAccum {
+	return CostAccum{C1: p.c1, TEIL: p.teil, C2: p.c2, C3: p.c3}
+}
+
+// setCosts overwrites the incremental cost accumulators.
+func (p *Placement) setCosts(c CostAccum) {
+	p.c1, p.teil, p.c2, p.c3 = c.C1, c.TEIL, c.C2, c.C3
+}
+
 // refreshCell re-realizes cell i from the flat state already in place,
 // incrementally maintaining all cost terms: the common tail of SetState and
-// SetStaticExpansion. The subtract side reads only the cached geometry and
-// net boxes, so the state write may precede it; the add side recomputes a
+// SetStaticExpansion. The subtract side reads only the cached geometry
+// (tiles, instanceDims, siteCnt) and net boxes, so the state write may
+// precede it; the add side recomputes a
 // net's bounding box only when one of its pins actually moved (netDirty),
 // reusing the cached — bit-identical — box otherwise. The subtract/add of
 // unchanged values is preserved: the float accumulators see the exact
@@ -815,9 +797,7 @@ func (p *Placement) refreshCell(i int) {
 	}
 	// Re-realize.
 	p.realizeCell(i)
-	if p.index != nil {
-		p.index.update(i, p.indexBox(i))
-	}
+	p.index.update(i, p.indexBox(i))
 	// Add new contributions.
 	p.c2 += p.overlapContrib(i)
 	p.c3 += p.siteContrib(i)
@@ -837,31 +817,8 @@ func (p *Placement) refreshCell(i int) {
 // SetState places cell i in the given state (incremental cost update). The
 // Units values are copied out of st, never aliased.
 func (p *Placement) SetState(i int, st CellState) {
-	p.c2 -= p.overlapContrib(i)
-	p.c3 -= p.siteContrib(i)
-	for _, n := range p.cellNets[i] {
-		w, s := p.netCostFromBox(n, p.netBox[n])
-		p.c1 -= w
-		p.teil -= s
-	}
 	p.writeState(i, st)
-	p.realizeCell(i)
-	if p.index != nil {
-		p.index.update(i, p.indexBox(i))
-	}
-	p.c2 += p.overlapContrib(i)
-	p.c3 += p.siteContrib(i)
-	for _, n := range p.cellNets[i] {
-		b := p.netBox[n]
-		if p.netDirty[n] {
-			b = p.netBoxFor(n)
-			p.netBox[n] = b
-			p.netDirty[n] = false
-		}
-		w, s := p.netCostFromBox(n, b)
-		p.c1 += w
-		p.teil += s
-	}
+	p.refreshCell(i)
 }
 
 // snapshotScratch fills and returns the placement's reusable full-state
@@ -920,42 +877,28 @@ func (p *Placement) ExpandedBounds() geom.Rect {
 	return b
 }
 
-// Validate cross-checks the incremental cost terms against a full
-// recomputation; it returns an error describing the first mismatch.
+// Validate cross-checks the incremental cost terms against RecomputeAll and
+// returns an error describing the first mismatch. It only observes: the
+// incremental accumulators are restored exactly afterwards, because the
+// recomputed float sums can differ from them in the last ulp — enough to
+// steer a later accept/reject draw in a live run, or to change the costs a
+// sign-off reports. (Per-net bounding boxes are position-derived, so
+// RecomputeAll rebuilds them to identical values and they need no restore.)
 func (p *Placement) Validate() error {
-	saved := struct {
-		c1, teil, c3 float64
-		c2           int64
-	}{p.c1, p.teil, p.c3, p.c2}
+	inc := p.costs()
 	p.RecomputeAll()
+	full := p.costs()
+	p.setCosts(inc)
 	const eps = 1e-6
 	switch {
-	case math.Abs(saved.c1-p.c1) > eps:
-		return fmt.Errorf("place: C1 drift: incremental %v full %v", saved.c1, p.c1)
-	case math.Abs(saved.teil-p.teil) > eps:
-		return fmt.Errorf("place: TEIL drift: incremental %v full %v", saved.teil, p.teil)
-	case saved.c2 != p.c2:
-		return fmt.Errorf("place: C2 drift: incremental %d full %d", saved.c2, p.c2)
-	case math.Abs(saved.c3-p.c3) > eps:
-		return fmt.Errorf("place: C3 drift: incremental %v full %v", saved.c3, p.c3)
+	case math.Abs(inc.C1-full.C1) > eps:
+		return fmt.Errorf("place: C1 drift: incremental %v full %v", inc.C1, full.C1)
+	case math.Abs(inc.TEIL-full.TEIL) > eps:
+		return fmt.Errorf("place: TEIL drift: incremental %v full %v", inc.TEIL, full.TEIL)
+	case inc.C2 != full.C2:
+		return fmt.Errorf("place: C2 drift: incremental %d full %d", inc.C2, full.C2)
+	case math.Abs(inc.C3-full.C3) > eps:
+		return fmt.Errorf("place: C3 drift: incremental %v full %v", inc.C3, full.C3)
 	}
 	return nil
-}
-
-// CheckCostDrift is Validate for use inside a live run: it performs the same
-// incremental-vs-recomputed comparison but then restores the incremental
-// accumulators exactly. Validate leaves the recomputed values behind, which
-// can differ from the incremental ones in the last ulp — enough to steer a
-// later accept/reject draw and break bit-identity. The runtime invariant
-// checker must observe without perturbing, so it goes through here.
-// (Per-net bounding boxes are position-derived, not history-dependent, so
-// RecomputeAll rebuilds them to identical values and they need no restore.)
-func (p *Placement) CheckCostDrift() error {
-	saved := struct {
-		c1, teil, c3 float64
-		c2           int64
-	}{p.c1, p.teil, p.c3, p.c2}
-	err := p.Validate()
-	p.c1, p.teil, p.c3, p.c2 = saved.c1, saved.teil, saved.c3, saved.c2
-	return err
 }

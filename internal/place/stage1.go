@@ -491,7 +491,7 @@ func restoreRun(c *netlist.Circuit, core geom.Rect, p2 float64, cfg anneal.Confi
 	// Restore the exact cost accumulators: the incremental float sums
 	// depend on the whole move history, and the per-move deltas that drive
 	// Metropolis acceptance are computed from them.
-	p.c1, p.teil, p.c2, p.c3 = r.Cost.C1, r.Cost.TEIL, r.Cost.C2, r.Cost.C3
+	p.setCosts(r.Cost)
 	p.P2 = p2
 
 	src := rng.New(0)
@@ -679,10 +679,11 @@ func (s *annealRun) innerLoop(ctx context.Context, from int) error {
 func (s *annealRun) endStep() {
 	// Invariant place.cost: at every temperature-step boundary the
 	// incremental cost accumulators must agree with a from-scratch
-	// recomputation. CheckCostDrift restores the incremental values, so the
-	// check cannot perturb the anneal (bit-identity is pinned by tests).
+	// recomputation. Validate only observes (it restores the incremental
+	// values), so the check cannot perturb the anneal (bit-identity is
+	// pinned by tests).
 	if invariant.Enabled() {
-		if err := s.p.CheckCostDrift(); err != nil {
+		if err := s.p.Validate(); err != nil {
 			invariant.Failf("place.cost", "step %d: %v", s.ctl.Step(), err)
 		}
 	}
@@ -750,7 +751,7 @@ func (s *annealRun) snapshot() RunCheckpoint {
 	return RunCheckpoint{
 		Ctl:       s.ctl.State(),
 		Src:       s.src.State(),
-		Cost:      CostAccum{C1: s.p.c1, TEIL: s.p.teil, C2: s.p.c2, C3: s.p.c3},
+		Cost:      s.p.costs(),
 		States:    s.snapshotStates(),
 		Best:      s.best,
 		BestCost:  s.bestCost,

@@ -93,7 +93,4 @@ func TestRefineCancelledMidPass(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("interrupted placement: %v", err)
 	}
-	if err := p.CheckCostDrift(); err != nil {
-		t.Fatalf("interrupted placement: %v", err)
-	}
 }
