@@ -4,7 +4,7 @@
 #   make test        unit tests only
 #   make fuzz-smoke  10-second runs of each fuzz target
 #   make bench       place + jobs + route + channel + estimate benchmarks with -benchmem -> BENCH_PR20.json
-#   make bench-smoke 1-iteration benchmark pass (catches bitrot, no timing)
+#   make bench-smoke 1-iteration pass of every benchmark in the module (catches bitrot, no timing)
 #   make bench-diff  a 100x median-of-5 bench pass gated against the committed baseline
 #   make obs-smoke   2-node fleet end to end: submit, scrape /metrics, twobs clean timeline
 #   make chaos-smoke bounded twchaos runs (fixed seeds, all five modes)
@@ -20,7 +20,7 @@ BENCHPKGS = ./internal/place ./internal/jobs ./internal/route ./internal/channel
 
 .PHONY: verify tier1 test race fuzz-smoke bench bench-smoke bench-diff serve-smoke obs-smoke chaos-smoke fsck-smoke resume-smoke
 
-verify: tier1 race fuzz-smoke bench-diff serve-smoke obs-smoke chaos-smoke fsck-smoke resume-smoke
+verify: tier1 race fuzz-smoke bench-smoke bench-diff serve-smoke obs-smoke chaos-smoke fsck-smoke resume-smoke
 
 tier1:
 	$(GO) build ./...
@@ -126,11 +126,16 @@ bench:
 	$(GO) test -bench . -benchmem -benchtime=$(BENCHTIME) -count=5 -cpu=2 -run '^$$' $(BENCHPKGS) \
 		| $(GO) run ./cmd/benchjson -o $(BENCHOUT)
 
-# bench-smoke proves every benchmark still runs and its output still
-# parses, without writing $(BENCHOUT) or caring about timing.
+# bench-smoke proves every benchmark in the module still runs once and its
+# output still parses, without writing $(BENCHOUT) or caring about timing:
+# the paper-level benchmarks of the root package (Table 4, the D_s/D_r
+# ablation, the full i3 flow) as well as the per-package ones. The go test
+# output goes to a file first, so a failing benchmark fails the target
+# (through a pipe only benchjson's exit status would count).
 bench-smoke:
-	$(GO) test -bench . -benchmem -benchtime=1x -run '^$$' $(BENCHPKGS) \
-		| $(GO) run ./cmd/benchjson > /dev/null
+	@$(GO) test -bench . -benchmem -benchtime=1x -run '^$$' ./... > /tmp/bench_smoke.txt \
+		|| { cat /tmp/bench_smoke.txt; exit 1; }
+	$(GO) run ./cmd/benchjson < /tmp/bench_smoke.txt > /dev/null
 
 # bench-diff is the regression gate: a quick bench pass compared against
 # the committed baseline. 100 iterations (not 1) so one-time warmup

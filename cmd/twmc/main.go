@@ -280,7 +280,7 @@ func main() {
 	if *svgPath != "" {
 		f, err := os.Create(*svgPath)
 		if err != nil {
-			fatal(err)
+			die(err)
 		}
 		var g *channel.Graph
 		var routing *route.Result
@@ -343,6 +343,12 @@ func validateFlags(nstarts, replicas, workers, ac, m, iters, ckEvery int,
 		return fmt.Errorf("-checkpoint/-resume require a single start (got -nstarts %d): checkpointing snapshots one annealing trajectory", nstarts)
 	case resume != "" && load != "":
 		return fmt.Errorf("-resume (annealing checkpoint) and -load (saved placement) are mutually exclusive")
+	case load != "" && nstarts > 1:
+		return fmt.Errorf("-nstarts %d has no effect with -load: a saved placement skips Stage 1", nstarts)
+	case load != "" && replicas > 1:
+		return fmt.Errorf("-replicas %d has no effect with -load: a saved placement skips Stage 1", replicas)
+	case load != "" && ckPath != "":
+		return fmt.Errorf("-checkpoint has no effect with -load: a saved placement skips the Stage 1 anneal it would snapshot")
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -157,6 +158,9 @@ func TestValidateFlags(t *testing.T) {
 		{[]string{"-nstarts", "2", "-checkpoint", "ck"}, "-checkpoint/-resume"},
 		{[]string{"-nstarts", "2", "-resume", "ck"}, "-checkpoint/-resume"},
 		{[]string{"-resume", "ck", "-load", "p.twp"}, "-resume (annealing checkpoint) and -load"},
+		{[]string{"-load", "p.twp", "-nstarts", "2"}, "-nstarts 2 has no effect with -load"},
+		{[]string{"-load", "p.twp", "-replicas", "3"}, "-replicas 3 has no effect with -load"},
+		{[]string{"-load", "p.twp", "-checkpoint", "ck"}, "-checkpoint has no effect with -load"},
 	} {
 		cmd, out := twmcCmd(append(tc.args, "-preset", "i3")...)
 		if code := exitCode(t, cmd.Run(), out); code != 2 || !strings.Contains(out.String(), tc.flag) {
@@ -235,5 +239,26 @@ func TestLoadKeepsBookkeeping(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "bookkeeping") {
 		t.Fatalf("-load -drc reports a bookkeeping violation:\n%s", out)
+	}
+}
+
+// TestSVGCreateFailureKeepsMetrics: an -svg path that cannot be created
+// fails the run (exit 1), but the run still flushes its telemetry, so the
+// -metrics snapshot exists and parses.
+func TestSVGCreateFailureKeepsMetrics(t *testing.T) {
+	dir := t.TempDir()
+	metrics := filepath.Join(dir, "m.json")
+	svg := filepath.Join(dir, "missing", "x.svg")
+	cmd, out := twmcCmd("-preset", "i3", "-ac", "5", "-stage1-only", "-metrics", metrics, "-svg", svg)
+	if code := exitCode(t, cmd.Run(), out); code != 1 {
+		t.Fatalf("unwritable -svg: exit %d, want 1:\n%s", code, out)
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatalf("no -metrics snapshot after the -svg failure: %v\n%s", err, out)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("-metrics snapshot does not parse: %v\n%s", err, data)
 	}
 }

@@ -10,9 +10,6 @@
 //   - Slicing: connectivity-ordered shelf packing with uniform channel
 //     allowances, standing in for the careful area-driven manual layouts
 //     (circuits p1, l1, d1–d3);
-//   - WongLiu: a slicing floorplanner annealing over normalized Polish
-//     expressions (Wong–Liu, DAC 1986), the closest prior work the paper
-//     cites (§1 ref [8]);
 //   - Random: legalized random scatter, the control.
 //
 // Every placer produces a place.Placement on the same core the TimberWolfMC
@@ -21,7 +18,6 @@ package baseline
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
@@ -39,11 +35,10 @@ type Placer interface {
 
 // All returns every baseline placer.
 func All() []Placer {
-	return []Placer{Random(), Quadratic(), Greedy(), Slicing(), WongLiu()}
+	return []Placer{Random(), Quadratic(), Greedy(), Slicing()}
 }
 
-// ByName returns the named placer (random, quadratic, greedy, slicing,
-// wongliu).
+// ByName returns the named placer (random, quadratic, greedy, slicing).
 func ByName(name string) (Placer, bool) {
 	for _, p := range All() {
 		if p.Name() == name {
@@ -505,15 +500,4 @@ func (slicingPlacer) Place(c *netlist.Circuit, core geom.Rect, seed uint64) *pla
 	// core clamp plus legalization resolves the spill.
 	legalize(pos, w, h, core, c.TrackSep, 200)
 	return apply(c, core, pos)
-}
-
-// Names lists the placers in report order.
-func Names() []string {
-	ps := All()
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Name()
-	}
-	sort.Strings(out)
-	return out
 }

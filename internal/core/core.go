@@ -41,8 +41,6 @@ type Options struct {
 	// Iterations is the number of Stage 2 refinement executions
 	// (default 3).
 	Iterations int
-	// UseDr switches displacement-point selection to D_r (ablation).
-	UseDr bool
 	// Starts is the number of independent Stage 1 anneals; the trial with
 	// the lowest final cost wins (deterministically, independent of worker
 	// scheduling). Values <= 1 run the single classic anneal.
@@ -209,7 +207,6 @@ func Run(ctx context.Context, c *netlist.Circuit, from Start, opt Options) (*Res
 		R:               opt.R,
 		Rho:             opt.Rho,
 		Eta:             opt.Eta,
-		UseDr:           opt.UseDr,
 		CoreAspect:      opt.CoreAspect,
 		MaxSteps:        opt.MaxSteps,
 		CheckpointPath:  opt.CheckpointPath,

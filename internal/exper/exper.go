@@ -114,19 +114,6 @@ func (c *Config) hook(id string) {
 	}
 }
 
-// failedSet maps task index -> error for quick has-this-task-failed checks.
-func failedSet(tes []par.TaskError) map[int]error {
-	if len(tes) == 0 {
-		return nil
-	}
-	m := make(map[int]error, len(tes))
-	for i := range tes {
-		te := tes[i]
-		m[te.Index] = &te
-	}
-	return m
-}
-
 // Quick returns the fast configuration used by tests and benches.
 func Quick() Config { return Config{Trials: 1, Ac: 25, M: 6} }
 
@@ -186,7 +173,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 			teilRed: -res.TEILChangePct(), areaRed: -res.AreaChangePct(),
 		}, nil
 	})
-	failed := failedSet(tes)
+	failed := par.Failed(tes)
 	rows := make([]Table3Row, 0, len(cfg.Circuits))
 	for ci, name := range cfg.Circuits {
 		row := Table3Row{Circuit: name}
@@ -295,7 +282,10 @@ func Table4(cfg Config) ([]Table4Row, error) {
 		row.TEIL = res.TEIL
 		row.Chip = res.Chip
 		// Baseline with identical post-processing.
-		pl, _ := baseline.ByName(row.Baseline)
+		pl, ok := baseline.ByName(row.Baseline)
+		if !ok {
+			return Table4Row{}, fmt.Errorf("table4 %s: no baseline placer %q", name, row.Baseline)
+		}
 		bt, bc, err := EvaluateBaseline(pl, c, cfg)
 		if err != nil {
 			return Table4Row{}, fmt.Errorf("table4 %s baseline: %w", name, err)
@@ -310,7 +300,7 @@ func Table4(cfg Config) ([]Table4Row, error) {
 		}
 		return row, nil
 	})
-	failed := failedSet(tes)
+	failed := par.Failed(tes)
 	out := rows[:0]
 	for ci := range rows {
 		if failed[ci] == nil {

@@ -3,6 +3,9 @@ package exper
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/baseline"
+	"repro/internal/gen"
 )
 
 // tiny returns a configuration small enough for unit tests.
@@ -88,6 +91,18 @@ func TestBaselineForMapping(t *testing.T) {
 	for c, want := range cases {
 		if got := BaselineFor(c); got != want {
 			t.Errorf("BaselineFor(%s) = %s want %s", c, got, want)
+		}
+	}
+}
+
+// TestBaselineForResolves: every preset's Table 4 method names a placer
+// that baseline.ByName knows, so Table4 never reaches its "no baseline
+// placer" error on a preset.
+func TestBaselineForResolves(t *testing.T) {
+	for _, c := range gen.PresetNames() {
+		name := BaselineFor(c)
+		if pl, ok := baseline.ByName(name); !ok || pl.Name() != name {
+			t.Errorf("BaselineFor(%s) = %q does not resolve through baseline.ByName", c, name)
 		}
 	}
 }

@@ -44,7 +44,7 @@ func runGrid(cfg Config, name string, nparams int, fn func(pi, trial int) (value
 		v, e, err := fn(pi, t)
 		return out{v, e}, err
 	})
-	failed := failedSet(tes)
+	failed := par.Failed(tes)
 	vals = make([]float64, nparams)
 	extras = make([]float64, nparams)
 	for pi := 0; pi < nparams; pi++ {

@@ -43,22 +43,6 @@ func MustTileSet(tiles ...Rect) *TileSet {
 	return ts
 }
 
-// TileSetFromRects builds a TileSet without enforcing the non-overlap
-// invariant, dropping empty rectangles. Expanded cell geometry uses this:
-// the outward-inflated tiles of a rectilinear cell may legitimately overlap
-// each other near inside corners. Area and Overlap then count doubly-covered
-// regions once per covering tile, a deliberate (conservative) approximation.
-func TileSetFromRects(tiles []Rect) *TileSet {
-	ts := &TileSet{tiles: make([]Rect, 0, len(tiles))}
-	for _, t := range tiles {
-		if !t.Empty() {
-			ts.tiles = append(ts.tiles, t)
-		}
-	}
-	ts.normalize()
-	return ts
-}
-
 // normalize sorts the tiles into canonical (YLo, XLo) order. Insertion sort
 // keeps the hot realize path allocation-free (sort.Slice allocates for its
 // closure and swapper) and is faster at the tiny tile counts cells carry.
@@ -98,8 +82,11 @@ func (ts *TileSet) SetRect(r Rect) {
 
 // SetInflated replaces ts's tiles with src's tiles each inflated outward by
 // the given per-side amounts, dropping empty results and reusing ts's
-// backing storage: the in-place counterpart of building expanded cell
-// geometry via TileSetFromRects. ts and src must not alias.
+// backing storage. It does not enforce the non-overlap invariant: expanded
+// cell geometry uses it, and the outward-inflated tiles of a rectilinear
+// cell may legitimately overlap each other near inside corners. Area and
+// Overlap then count doubly-covered regions once per covering tile, a
+// deliberate (conservative) approximation. ts and src must not alias.
 func (ts *TileSet) SetInflated(src *TileSet, left, bottom, right, top int) {
 	ts.tiles = ts.tiles[:0]
 	for _, t := range src.tiles {

@@ -6,10 +6,11 @@
 //
 // Like faultinject, the disabled path is a single atomic pointer load with
 // zero allocations, so the checks stay compiled into production binaries.
-// When enabled, a failed check increments invariant.violations (and
-// invariant.violation.<check>) in the attached telemetry registry, logs
-// through the configured logger, and — when Options.Panic is set, as it is
-// under the chaos harness — panics so no violation can be shrugged off.
+// When enabled, a failed check increments the process-wide violation count
+// (Count) and invariant.violations (and invariant.violation.<check>) in the
+// attached telemetry registry, and logs through the configured logger.
+// Checks never abort the run they observe; the chaos harness fails a
+// schedule whose Count is nonzero.
 //
 // The check sites themselves live next to the code they guard; this package
 // only carries the enable/report plumbing. DESIGN.md §11 lists every check.
@@ -29,9 +30,6 @@ type Options struct {
 	// Registry, when non-nil, counts violations as invariant.violations and
 	// invariant.violation.<check>.
 	Registry *telemetry.Registry
-	// Panic makes every violation panic after logging/counting. The chaos
-	// harness sets it so violations are impossible to miss.
-	Panic bool
 }
 
 type state struct {
@@ -81,8 +79,5 @@ func Failf(check string, format string, args ...any) {
 	if st.opts.Registry != nil {
 		st.opts.Registry.Counter("invariant.violations").Inc()
 		st.opts.Registry.Counter("invariant.violation." + check).Inc()
-	}
-	if st.opts.Panic {
-		panic(fmt.Sprintf("invariant violation [%s]: %s", check, msg))
 	}
 }

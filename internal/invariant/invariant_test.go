@@ -61,21 +61,3 @@ func TestFailfCountsLogsAndMeters(t *testing.T) {
 		t.Fatalf("Count() after re-Enable = %d, want 0", got)
 	}
 }
-
-func TestPanicOption(t *testing.T) {
-	Enable(Options{Panic: true})
-	defer Disable()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Failf with Panic did not panic")
-		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "[chaos.check]") {
-			t.Fatalf("panic value = %v", r)
-		}
-		if Count() != 1 {
-			t.Fatalf("Count() = %d, want 1 (counted before panicking)", Count())
-		}
-	}()
-	Failf("chaos.check", "boom")
-}

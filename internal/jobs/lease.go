@@ -324,6 +324,15 @@ func (l *Lease) Renew() error {
 	if err := l.Validate(); err != nil {
 		return err
 	}
+	// The live heartbeat is written under l.mu, after a second look at
+	// released: a Release that lands between Validate and this write would
+	// otherwise write its released heartbeat first and have it overwritten
+	// by this live one, leaving a drained job looking held for a full TTL.
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.released {
+		return fmt.Errorf("%w: lease on %s was released", ErrFenced, l.job.ID)
+	}
 	now := leaseNow()
 	return l.writeHeartbeat(LeaseRecord{Token: l.Token, Node: l.node, Time: now, Expires: now.Add(l.ttl)})
 }

@@ -594,3 +594,48 @@ func TestTakeoverDetailRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseRacingRenewStaysReleased races Renew (the scan loop's renewal)
+// against Release (the drain path) on one lease, round after round: once
+// Release has returned and the renewer has stopped, the heartbeat on disk
+// must read released, never live.
+func TestReleaseRacingRenewStaysReleased(t *testing.T) {
+	t.Parallel()
+	st := openNode(t, t.TempDir(), "a")
+	job, err := st.Create(fastSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 50; round++ {
+		lease, _, err := st.Claim(job, time.Minute)
+		if err != nil {
+			t.Fatalf("round %d: claim: %v", round, err)
+		}
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = lease.Renew()
+				}
+			}
+		}()
+		time.Sleep(time.Millisecond)
+		if err := lease.Release(); err != nil {
+			t.Fatalf("round %d: release: %v", round, err)
+		}
+		close(stop)
+		<-done
+		ls, err := readLeaseState(job.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if holder, live := ls.heldBy(time.Now()); live {
+			t.Fatalf("round %d: lease live after Release (held by %q)", round, holder)
+		}
+	}
+}

@@ -13,8 +13,7 @@ import (
 
 // Backoff describes the delay schedule between retry attempts: bounded
 // exponential growth with deterministic jitter. The zero value retries
-// immediately (the historical ForEachErr behaviour), so existing callers are
-// unchanged.
+// immediately, as MapRetry does.
 //
 // The delay before retry attempt a (a = 1 for the first retry) of task i is
 //
@@ -158,33 +157,4 @@ func Retry(ctx context.Context, i, retries int, bo Backoff, fn func() error) (at
 		}
 	}
 	return attempts, err
-}
-
-// ForEachBackoff is ForEachErr with a delay schedule between retry
-// attempts: each failed task waits bo.Delay(i, attempt) (honouring ctx)
-// before rerunning. ForEachErr is exactly ForEachBackoff with the zero
-// Backoff.
-func ForEachBackoff(ctx context.Context, workers, n, retries int, bo Backoff, fn func(i int) error) []TaskError {
-	if n <= 0 {
-		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	errs := make([]error, n)
-	attempts := make([]int, n)
-	pool(workers, n, func(i int) {
-		if ctx.Err() != nil {
-			errs[i] = context.Cause(ctx)
-			return
-		}
-		attempts[i], errs[i] = Retry(ctx, i, retries, bo, func() error { return fn(i) })
-	})
-	var out []TaskError
-	for i, err := range errs {
-		if err != nil {
-			out = append(out, TaskError{Index: i, Attempts: attempts[i], Err: err})
-		}
-	}
-	return out
 }

@@ -166,32 +166,10 @@ func TestRetryDoesNotRetryContextErrors(t *testing.T) {
 	}
 }
 
-func TestForEachBackoffWaitsBetweenAttempts(t *testing.T) {
-	const n = 4
-	fails := make([]int, n)
-	start := time.Now()
-	tes := ForEachBackoff(context.Background(), 2, n, 2,
-		Backoff{Base: 20 * time.Millisecond}, func(i int) error {
-			if fails[i] < 2 {
-				fails[i]++
-				return errors.New("transient")
-			}
-			return nil
-		})
-	if len(tes) != 0 {
-		t.Fatalf("task errors: %v", tes)
-	}
-	// Each task needed two retries: delays 20 ms + 40 ms = 60 ms minimum
-	// per task, two tasks per worker.
-	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
-		t.Fatalf("fan-out finished in %v; backoff delays were not applied", elapsed)
-	}
-}
-
 func TestForEachErrStillRetriesImmediately(t *testing.T) {
 	fails := make([]int, 3)
 	start := time.Now()
-	tes := ForEachErr(context.Background(), 1, 3, 3, func(i int) error {
+	tes := mapErr(context.Background(), 1, 3, 3, func(i int) error {
 		if fails[i] < 3 {
 			fails[i]++
 			return errors.New("transient")

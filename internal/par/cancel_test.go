@@ -101,7 +101,7 @@ func TestSleepDeadlineCause(t *testing.T) {
 func TestForEachBackoffUndispatchedCause(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(errStopDeploy)
-	errs := ForEachBackoff(ctx, 2, 8, 0, Backoff{}, func(i int) error {
+	errs := mapErr(ctx, 2, 8, 0, func(i int) error {
 		t.Errorf("task %d ran under a cancelled context", i)
 		return nil
 	})
@@ -165,7 +165,7 @@ func TestInjectedAttemptPanicIsRecovered(t *testing.T) {
 func TestInjectedTaskStall(t *testing.T) {
 	armPlane(t, faultinject.Rule{Point: faultinject.ParTask, Delay: 10 * time.Millisecond, Times: 2})
 	start := time.Now()
-	errs := ForEachErr(context.Background(), 2, 4, 0, func(i int) error { return nil })
+	errs := mapErr(context.Background(), 2, 4, 0, func(i int) error { return nil })
 	if len(errs) != 0 {
 		t.Fatalf("errs = %v, want none (stall only delays)", errs)
 	}

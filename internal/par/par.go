@@ -10,13 +10,15 @@
 // fully serial reference path. Retries rerun a task with the same index and
 // hence the same index-derived seed.
 //
-// Fault isolation: ForEachErr and MapRetry confine a panicking or failing
-// task to its own slot. The task is retried up to a bounded number of times,
+// Fault isolation: MapRetry confines a panicking or failing task to its own
+// slot. The task is retried immediately up to a bounded number of times,
 // then reported as a structured TaskError; sibling tasks always run to
 // completion, so one bad (circuit, trial) cannot sink a whole experiment
 // fan-out. Cancelling the context stops dispatch of not-yet-started tasks
-// (in-flight tasks observe the context themselves) and records ctx.Err()
-// for every task that never ran.
+// (in-flight tasks observe the context themselves) and records the cancel
+// cause for every task that never ran. Retry is the single-task form with
+// a Backoff schedule between attempts; the job service (internal/jobs)
+// calls it directly for each job attempt.
 package par
 
 import (
@@ -147,7 +149,7 @@ func Join(tes []TaskError) error {
 // most Workers(workers) goroutines. It returns when all calls complete. A
 // panic in any task is re-raised in the caller after the pool drains, so
 // failures surface exactly as in the serial loop. New code that wants fault
-// isolation instead of propagation should use ForEachErr.
+// isolation instead of propagation should use MapRetry.
 //
 // fn must be safe to call concurrently with itself and must confine writes
 // to per-index state (see the package determinism contract).
@@ -209,35 +211,56 @@ func pool(workers, n int, task func(i int)) {
 	wg.Wait()
 }
 
-// ForEachErr invokes fn(i) for every i in [0, n) on the pool with per-task
-// panic recovery and bounded retry: a task whose attempt panics or returns a
-// non-nil error is rerun up to retries more times (same index, hence the
-// same index-derived seed), and if every attempt fails it is reported as a
-// TaskError. Sibling tasks are unaffected. Cancellation errors (the task
-// returned ctx.Err(), or the context is done) are never retried; once ctx
-// is cancelled, tasks that have not started are skipped and reported with
-// Attempts == 0 and Err == ctx.Err().
+// MapRetry runs fn(i) for every i in [0, n) on the pool with per-task panic
+// recovery and bounded retry, storing each successful result in index
+// order. A task whose attempt panics or returns a non-nil error is rerun
+// immediately, up to retries more times (same index, hence the same
+// index-derived seed); if every attempt fails it is reported as a TaskError
+// and its slot keeps the zero value. Sibling tasks are unaffected, so
+// callers can aggregate partial output deterministically. Cancellation
+// errors (the task returned ctx.Err(), or the context is done) are never
+// retried; once ctx is cancelled, tasks that have not started are skipped
+// and reported with Attempts == 0 and Err == context.Cause(ctx).
 //
-// The returned slice is sorted by task index (empty means every task
-// succeeded); fold it with Join when a single error value is needed.
-// Retries rerun immediately; use ForEachBackoff to wait between attempts.
-func ForEachErr(ctx context.Context, workers, n, retries int, fn func(i int) error) []TaskError {
-	return ForEachBackoff(ctx, workers, n, retries, Backoff{}, fn)
+// The TaskError slice is sorted by task index (empty means every task
+// succeeded); fold it with Join when a single error value is needed, or
+// index it with Failed.
+func MapRetry[T any](ctx context.Context, workers, n, retries int, fn func(i int) (T, error)) ([]T, []TaskError) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	out := make([]T, n)
+	errs := make([]error, n)
+	attempts := make([]int, n)
+	pool(workers, n, func(i int) {
+		if ctx.Err() != nil {
+			errs[i] = context.Cause(ctx)
+			return
+		}
+		attempts[i], errs[i] = Retry(ctx, i, retries, Backoff{}, func() error {
+			v, err := fn(i)
+			if err == nil {
+				out[i] = v
+			}
+			return err
+		})
+	})
+	var tes []TaskError
+	for i, err := range errs {
+		if err != nil {
+			tes = append(tes, TaskError{Index: i, Attempts: attempts[i], Err: err})
+		}
+	}
+	return out, tes
 }
 
-// MapRetry runs fn(i) for every i in [0, n) with ForEachErr's recovery and
-// retry semantics, storing each successful result in index order. Failed
-// tasks leave the zero value in their slot and appear in the TaskError
-// slice; results of successful tasks are valid regardless of failures
-// elsewhere, so callers can aggregate partial output deterministically.
-func MapRetry[T any](ctx context.Context, workers, n, retries int, fn func(i int) (T, error)) ([]T, []TaskError) {
-	out := make([]T, n)
-	tes := ForEachErr(ctx, workers, n, retries, func(i int) error {
-		v, err := fn(i)
-		if err == nil {
-			out[i] = v
-		}
-		return err
-	})
-	return out, tes
+// Failed maps the index of each failed task to its *TaskError, for callers
+// that walk MapRetry's results in index order and skip the failed slots.
+func Failed(tes []TaskError) map[int]error {
+	m := make(map[int]error, len(tes))
+	for i := range tes {
+		te := tes[i]
+		m[te.Index] = &te
+	}
+	return m
 }

@@ -9,6 +9,16 @@ import (
 	"testing"
 )
 
+// mapErr runs fn through MapRetry with no result value, returning only the
+// task errors. The TestForEachErr* and TestForEachBackoff* tests drive
+// MapRetry's error fan-out through it.
+func mapErr(ctx context.Context, workers, n, retries int, fn func(i int) error) []TaskError {
+	_, tes := MapRetry(ctx, workers, n, retries, func(i int) (struct{}, error) {
+		return struct{}{}, fn(i)
+	})
+	return tes
+}
+
 // TestForEachErrRecoversPanicsAndPreservesSiblings is the fault-isolation
 // contract: a task that panics on every attempt is reported as a TaskError
 // wrapping a PanicError, while all sibling tasks still run.
@@ -16,7 +26,7 @@ func TestForEachErrRecoversPanicsAndPreservesSiblings(t *testing.T) {
 	for _, w := range []int{1, 8} {
 		const n = 100
 		var ran [n]atomic.Int32
-		tes := ForEachErr(context.Background(), w, n, 1, func(i int) error {
+		tes := mapErr(context.Background(), w, n, 1, func(i int) error {
 			ran[i].Add(1)
 			if i == 37 {
 				panic("boom 37")
@@ -53,7 +63,7 @@ func TestForEachErrRecoversPanicsAndPreservesSiblings(t *testing.T) {
 // then succeeds produces no TaskError and runs exactly twice.
 func TestForEachErrRetrySucceeds(t *testing.T) {
 	var attempts atomic.Int32
-	tes := ForEachErr(context.Background(), 4, 10, 1, func(i int) error {
+	tes := mapErr(context.Background(), 4, 10, 1, func(i int) error {
 		if i == 3 && attempts.Add(1) == 1 {
 			return errors.New("transient")
 		}
@@ -70,7 +80,7 @@ func TestForEachErrRetrySucceeds(t *testing.T) {
 // TestForEachErrNoRetryBudget verifies retries=0 means a single attempt.
 func TestForEachErrNoRetryBudget(t *testing.T) {
 	var attempts atomic.Int32
-	tes := ForEachErr(context.Background(), 1, 1, 0, func(i int) error {
+	tes := mapErr(context.Background(), 1, 1, 0, func(i int) error {
 		attempts.Add(1)
 		return errors.New("always")
 	})
@@ -86,7 +96,7 @@ func TestForEachErrCancellationSkipsAndMarks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 50
 	var attempts [n]atomic.Int32
-	tes := ForEachErr(ctx, 1, n, 3, func(i int) error {
+	tes := mapErr(ctx, 1, n, 3, func(i int) error {
 		attempts[i].Add(1)
 		if i == 4 {
 			cancel()
@@ -141,6 +151,37 @@ func TestMapRetryPartialResults(t *testing.T) {
 		if v != want {
 			t.Fatalf("out[%d] = %d, want %d", i, v, want)
 		}
+	}
+}
+
+// TestFailed pins the index lookup: every failed task maps to its own
+// *TaskError, and succeeded tasks are absent.
+func TestFailed(t *testing.T) {
+	_, tes := MapRetry(context.Background(), 2, 6, 0, func(i int) (int, error) {
+		if i%2 == 1 {
+			return 0, fmt.Errorf("fail %d", i)
+		}
+		return i, nil
+	})
+	failed := Failed(tes)
+	if len(failed) != 3 {
+		t.Fatalf("Failed has %d entries, want 3: %v", len(failed), failed)
+	}
+	for i := 0; i < 6; i++ {
+		err := failed[i]
+		if i%2 == 0 {
+			if err != nil {
+				t.Fatalf("succeeded task %d maps to %v", i, err)
+			}
+			continue
+		}
+		var te *TaskError
+		if !errors.As(err, &te) || te.Index != i || err.Error() != fmt.Sprintf("task %d failed after 1 attempt(s): fail %d", i, i) {
+			t.Fatalf("Failed[%d] = %v, want task %d's TaskError", i, err, i)
+		}
+	}
+	if len(Failed(nil)) != 0 {
+		t.Fatal("Failed(nil) is not empty")
 	}
 }
 

@@ -597,11 +597,7 @@ func RunStage1N(ctx context.Context, c *netlist.Circuit, opt Options, nstarts, w
 		}
 		return trial{p: p, res: res}, nil
 	})
-	failed := make(map[int]error, len(tes))
-	for _, te := range tes {
-		te := te
-		failed[te.Index] = &te
-	}
+	failed := par.Failed(tes)
 	starts := make([]StartResult, nstarts)
 	best := -1
 	for k := range trials {
