@@ -22,10 +22,14 @@ BENCHPKGS = ./internal/place ./internal/jobs ./internal/route ./internal/channel
 
 verify: tier1 race fuzz-smoke bench-smoke bench-diff serve-smoke obs-smoke chaos-smoke fsck-smoke resume-smoke
 
+# perfbench is its own module, so the root ./... skips it; building and
+# vetting it here catches an API change in core, refine or place that would
+# otherwise break only when the benchmark runs. Its binary is discarded.
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) vet ./...
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 
 test:
@@ -122,9 +126,12 @@ resume-smoke:
 # bench-diff sees on any other. The defaults (100x, median of 5, 2 CPUs)
 # match bench-diff, so a recorded baseline and the gate measure the same
 # way; raise BENCHTIME (e.g. BENCHTIME=2s) for publication-grade figures.
+# As in bench-smoke, the go test output goes to a file first, so a failing
+# benchmark fails the target.
 bench:
-	$(GO) test -bench . -benchmem -benchtime=$(BENCHTIME) -count=5 -cpu=2 -run '^$$' $(BENCHPKGS) \
-		| $(GO) run ./cmd/benchjson -o $(BENCHOUT)
+	@$(GO) test -bench . -benchmem -benchtime=$(BENCHTIME) -count=5 -cpu=2 -run '^$$' $(BENCHPKGS) > /tmp/bench_raw.txt \
+		|| { cat /tmp/bench_raw.txt; exit 1; }
+	$(GO) run ./cmd/benchjson -o $(BENCHOUT) < /tmp/bench_raw.txt
 
 # bench-smoke proves every benchmark in the module still runs once and its
 # output still parses, without writing $(BENCHOUT) or caring about timing:
@@ -146,8 +153,10 @@ bench-smoke:
 # (short timings are noisy and machines differ); the allocs/op gate is
 # strict — any increase fails, because the Stage 1 hot paths, the
 # single-node lease guard and a warmed spur search are pinned at zero
-# allocs.
+# allocs. A baseline benchmark missing from the pass ("gone") fails too:
+# retire one by dropping it from $(BENCHBASE).
 bench-diff:
-	$(GO) test -bench . -benchmem -benchtime=100x -count=5 -cpu=2 -run '^$$' $(BENCHPKGS) \
-		| $(GO) run ./cmd/benchjson -o /tmp/bench_head.json
+	@$(GO) test -bench . -benchmem -benchtime=100x -count=5 -cpu=2 -run '^$$' $(BENCHPKGS) > /tmp/bench_head.txt \
+		|| { cat /tmp/bench_head.txt; exit 1; }
+	$(GO) run ./cmd/benchjson -o /tmp/bench_head.json < /tmp/bench_head.txt
 	$(GO) run ./cmd/benchjson -diff -ns-threshold 400 $(BENCHBASE) /tmp/bench_head.json

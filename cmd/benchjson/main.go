@@ -17,8 +17,10 @@
 //
 // Every benchmark present in both files is compared; a ns/op increase
 // beyond -ns-threshold percent, or any allocs/op increase, is a regression
-// and exits 1. Benchmarks on only one side are reported but never fail the
-// gate, so adding or retiring benchmarks doesn't break CI.
+// and exits 1. So is a baseline benchmark missing from NEW ("gone"): a
+// benchmark that failed or was deleted must not pass for a clean run, so
+// retiring one means dropping it from the baseline file too. Benchmarks
+// only in NEW are reported and never fail the gate.
 package main
 
 import (
@@ -73,7 +75,8 @@ func main() {
 }
 
 // runDiff loads two result files and prints the comparison, returning the
-// process exit code: 0 clean, 1 on any regression, 2 on usage/IO errors.
+// process exit code: 0 clean, 1 on any regression or gone benchmark, 2 on
+// usage/IO errors.
 func runDiff(args []string, nsThreshold float64) int {
 	if len(args) != 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchjson -diff [-ns-threshold PCT] OLD.json NEW.json")
@@ -102,7 +105,8 @@ func runDiff(args []string, nsThreshold float64) int {
 			fmt.Printf("  new   %-60s %12.1f ns/op %6d allocs/op\n",
 				row.Name, row.New.NsPerOp, row.New.AllocsPerOp)
 		case row.New == nil:
-			fmt.Printf("  gone  %-60s\n", row.Name)
+			fmt.Printf("  GONE  %-60s\n", row.Name)
+			regressions++
 		default:
 			mark := "  ok  "
 			if row.Regressed {
@@ -119,7 +123,7 @@ func runDiff(args []string, nsThreshold float64) int {
 		}
 	}
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) vs %s (threshold %+.0f%% ns/op, any allocs/op increase)\n",
+		fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) vs %s (threshold %+.0f%% ns/op, any allocs/op increase, any benchmark gone)\n",
 			regressions, args[0], nsThreshold)
 		return 1
 	}

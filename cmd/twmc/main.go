@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/geom"
 	"repro/internal/invariant"
 	"repro/internal/netlist"
 	"repro/internal/place"
@@ -198,12 +200,18 @@ func main() {
 		fmt.Printf("resuming from checkpoint %s: %s\n", *resume, ck)
 		from.Checkpoint = ck
 	case *load != "":
+		// The saved file carries the core; start from a unit placeholder.
+		p := place.New(c, geom.R(0, 0, 1, 1), nil)
 		f, ferr := os.Open(*load)
 		if ferr != nil {
 			die(ferr)
 		}
-		defer f.Close()
-		from.Placement = f
+		ferr = place.ReadPlacement(f, p)
+		f.Close()
+		if ferr != nil {
+			die(ferr)
+		}
+		from.Placement = p
 	case *nstarts > 1:
 		fmt.Printf("stage 1: best of %d independent anneals\n", *nstarts)
 	case *replicas > 1:
@@ -333,10 +341,10 @@ func validateFlags(nstarts, replicas, workers, ac, m, iters, ckEvery int,
 		return fmt.Errorf("-refine must be >= 0 (got %d; 0 selects the default)", iters)
 	case ckEvery < 0:
 		return fmt.Errorf("-checkpoint-every must be >= 0 (got %d; 0 selects the default)", ckEvery)
-	case r < 0 || rho < 0 || eta < 0:
-		return fmt.Errorf("-r, -rho, and -eta must be >= 0 (0 selects the default)")
-	case aspect <= 0:
-		return fmt.Errorf("-aspect must be > 0 (got %g)", aspect)
+	case !(r >= 0 && rho >= 0 && eta >= 0) || math.IsInf(r, 1) || math.IsInf(rho, 1) || math.IsInf(eta, 1):
+		return fmt.Errorf("-r, -rho, and -eta must be finite and >= 0 (0 selects the default)")
+	case !(aspect > 0) || math.IsInf(aspect, 1):
+		return fmt.Errorf("-aspect must be finite and > 0 (got %g)", aspect)
 	case deadline < 0:
 		return fmt.Errorf("-deadline must be >= 0 (got %v)", deadline)
 	case nstarts > 1 && (ckPath != "" || resume != ""):

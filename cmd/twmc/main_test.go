@@ -154,6 +154,12 @@ func TestValidateFlags(t *testing.T) {
 		{[]string{"-rho", "-1"}, "-rho"},
 		{[]string{"-eta", "-1"}, "-eta"},
 		{[]string{"-aspect", "0"}, "-aspect"},
+		{[]string{"-aspect", "NaN"}, "-aspect"},
+		{[]string{"-aspect", "+Inf"}, "-aspect"},
+		{[]string{"-r", "+Inf"}, "-r, "},
+		{[]string{"-rho", "NaN"}, "-rho"},
+		{[]string{"-eta", "NaN"}, "-eta"},
+		{[]string{"-eta", "+Inf"}, "-eta"},
 		{[]string{"-deadline", "-1s"}, "-deadline"},
 		{[]string{"-nstarts", "2", "-checkpoint", "ck"}, "-checkpoint/-resume"},
 		{[]string{"-nstarts", "2", "-resume", "ck"}, "-checkpoint/-resume"},

@@ -7,7 +7,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/channel"
 	"repro/internal/drc"
@@ -152,11 +151,12 @@ type Start struct {
 	// Workers, and the checkpoint-control fields of the continued run, and
 	// Starts/Replicas are ignored.
 	Checkpoint *place.AnyCheckpoint
-	// Placement is a layout saved with place.WritePlacement: Run skips
-	// Stage 1 and runs Stage 2 only (channel definition, global routing,
-	// refinement) — the incremental-rework path: adjust a netlist or a
-	// saved layout, then refine without repeating the full anneal.
-	Placement io.Reader
+	// Placement is a placement of the circuit made elsewhere: a layout
+	// reloaded with place.ReadPlacement (the incremental-rework path) or a
+	// baseline placer's output (Table 4). Run skips Stage 1 and runs
+	// Stage 2 only (channel definition, global routing, refinement) on it
+	// in place.
+	Placement *place.Placement
 }
 
 // Run carries the circuit through the TimberWolfMC flow from the given
@@ -174,7 +174,7 @@ func Run(ctx context.Context, c *netlist.Circuit, from Start, opt Options) (*Res
 	}
 	switch {
 	case from.Checkpoint != nil && from.Placement != nil:
-		return nil, fmt.Errorf("core: start from a checkpoint or a saved placement, not both")
+		return nil, fmt.Errorf("core: start from a checkpoint or a placement, not both")
 	case from.Checkpoint != nil:
 		p, s1, err := place.Resume(ctx, c, from.Checkpoint, place.Options{
 			CheckpointPath:  opt.CheckpointPath,
@@ -185,15 +185,17 @@ func Run(ctx context.Context, c *netlist.Circuit, from Start, opt Options) (*Res
 		if err != nil && p == nil {
 			return nil, err
 		}
-		replay := from.Checkpoint.Options()
-		return handOff(ctx, p, s1, s1.TEIL, err, opt, &replay)
+		// Stage 2 replays the parameters the checkpoint was written under,
+		// so a resumed flow matches the uninterrupted one exactly.
+		ck := from.Checkpoint.Options()
+		opt.Seed, opt.Ac, opt.Rho, opt.MaxSteps = ck.Seed, ck.Ac, ck.Rho, ck.MaxSteps
+		return handOff(ctx, p, s1, err, opt)
 	case from.Placement != nil:
-		// The saved file carries the core; start from a unit placeholder.
-		p := place.New(c, geom.R(0, 0, 1, 1), nil)
-		if err := place.ReadPlacement(from.Placement, p); err != nil {
-			return nil, err
+		if from.Placement.Circuit != c {
+			return nil, fmt.Errorf("core: start placement is of circuit %q, not of the circuit %q being run",
+				from.Placement.Circuit.Name, c.Name)
 		}
-		return handOff(ctx, p, place.Result{}, p.TEIL(), nil, opt, nil)
+		return handOff(ctx, from.Placement, place.Result{}, nil, opt)
 	}
 	if opt.CheckpointPath != "" && opt.Starts > 1 {
 		return nil, fmt.Errorf("core: checkpointing is incompatible with %d parallel starts (run a single start, or drop the checkpoint)", opt.Starts)
@@ -230,39 +232,33 @@ func Run(ctx context.Context, c *netlist.Circuit, from Start, opt Options) (*Res
 	default:
 		p, s1, err = place.RunStage1Ctx(ctx, c, s1opt)
 	}
-	return handOff(ctx, p, s1, s1.TEIL, err, opt, nil)
+	return handOff(ctx, p, s1, err, opt)
 }
 
-// handOff assembles the Result for p, which Stage 1 (or a saved layout)
-// left with metrics s1 and TEIL teil, and carries it through Stage 2 unless
+// handOff assembles the Result for p, which Stage 1 (or the caller's start
+// placement) left with metrics s1, and carries it through Stage 2 unless
 // Stage 1 ended with s1err — an interruption or partial failure, handed
 // back as is with any configured checkpoint already written — or
-// opt.SkipStage2 is set. replay, when non-nil, holds the parameters a
-// checkpoint was written under; Stage 2 reuses its Seed/Ac/Rho/MaxSteps so
-// a resumed flow matches the uninterrupted one exactly.
+// opt.SkipStage2 is set. The final TEIL and chip are read from p, so they
+// hold on every return, an interrupted Stage 2 included.
 //
 // The Stage 2 seed is derived from the Stage 1 seed identically on every
-// start (fresh, saved placement, checkpoint) so the downstream
+// start (fresh, given placement, checkpoint) so the downstream
 // trajectory never depends on how Stage 1 was executed.
-func handOff(ctx context.Context, p *place.Placement, s1 place.Result, teil float64, s1err error, opt Options, replay *place.CheckpointOptions) (*Result, error) {
+func handOff(ctx context.Context, p *place.Placement, s1 place.Result, s1err error, opt Options) (*Result, error) {
 	res := &Result{
 		Placement:  p,
 		Stage1:     s1,
-		Stage1TEIL: teil,
+		Stage1TEIL: p.TEIL(),
 		Stage1Area: p.ExpandedBounds().Area(),
-		TEIL:       teil,
+		TEIL:       p.TEIL(),
 		Chip:       p.ExpandedBounds(),
 	}
 	if s1err != nil || opt.SkipStage2 {
 		return res, s1err
 	}
-	seed := opt.Seed
-	if replay != nil {
-		seed = replay.Seed
-		opt.Ac, opt.Rho, opt.MaxSteps = replay.Ac, replay.Rho, replay.MaxSteps
-	}
 	s2, err := refine.RunCtx(ctx, p, refine.Options{
-		Seed:       seed + 0x5eed,
+		Seed:       opt.Seed + 0x5eed,
 		Iterations: opt.Iterations,
 		Ac:         opt.Ac,
 		Rho:        opt.Rho,
@@ -272,8 +268,8 @@ func handOff(ctx context.Context, p *place.Placement, s1 place.Result, teil floa
 		Tel:        opt.Tel,
 	})
 	res.Stage2 = s2
-	res.TEIL = s2.TEIL
-	res.Chip = s2.Chip
+	res.TEIL = p.TEIL()
+	res.Chip = p.ExpandedBounds()
 	if err != nil {
 		return res, fmt.Errorf("core: stage 2: %w", err)
 	}

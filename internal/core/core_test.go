@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/place"
 )
@@ -120,6 +121,17 @@ func TestQualityScalesWithAc(t *testing.T) {
 	}
 }
 
+// reload reads a saved placement of c the way twmc -load does: onto a
+// unit placeholder core, which the file's core line replaces.
+func reload(t *testing.T, c *netlist.Circuit, saved string) *place.Placement {
+	t.Helper()
+	p := place.New(c, geom.R(0, 0, 1, 1), nil)
+	if err := place.ReadPlacement(strings.NewReader(saved), p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestResume(t *testing.T) {
 	c := testCircuit(t)
 	res, err := Place(c, Options{Seed: 4, Ac: 15, M: 4})
@@ -131,7 +143,7 @@ func TestResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Resume with Stage 2 skipped: state restored exactly.
-	r2, err := Run(context.Background(), c, Start{Placement: strings.NewReader(sb.String())}, Options{SkipStage2: true})
+	r2, err := Run(context.Background(), c, Start{Placement: reload(t, c, sb.String())}, Options{SkipStage2: true})
 	if err != nil {
 		t.Fatalf("Run from a saved placement: %v", err)
 	}
@@ -150,25 +162,42 @@ func TestResume(t *testing.T) {
 	if err := r2.Placement.Validate(); err != nil {
 		t.Fatalf("reloaded placement: %v", err)
 	}
-	// Resume with Stage 2: runs and routes.
-	r3, err := Run(context.Background(), c, Start{Placement: strings.NewReader(sb.String())}, Options{Seed: 5, Ac: 10, M: 4})
+	// Resume with Stage 2: runs and routes, refining the given placement
+	// in place, and reports the placement's final TEIL and chip.
+	start := reload(t, c, sb.String())
+	r3, err := Run(context.Background(), c, Start{Placement: start}, Options{Seed: 5, Ac: 10, M: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r3.Stage2 == nil || len(r3.Stage2.Routing.Choice) != len(c.Nets) {
 		t.Fatal("resume did not route")
 	}
+	if r3.Placement != start || r3.TEIL != start.TEIL() || r3.Chip != start.ExpandedBounds() {
+		t.Fatal("Stage 2 result is not the start placement's final state")
+	}
 	if err := r3.Placement.Validate(); err != nil {
 		t.Fatalf("refined reloaded placement: %v", err)
 	}
-	// Bad file rejected.
-	if _, err := Run(context.Background(), c, Start{Placement: strings.NewReader("placement other\n")}, Options{}); err == nil {
-		t.Fatal("wrong-circuit placement accepted")
-	}
-	// A start is a checkpoint or a saved placement, never both.
-	both := Start{Checkpoint: &place.AnyCheckpoint{}, Placement: strings.NewReader(sb.String())}
+	// A start is a checkpoint or a placement, never both.
+	both := Start{Checkpoint: &place.AnyCheckpoint{}, Placement: reload(t, c, sb.String())}
 	if _, err := Run(context.Background(), c, both, Options{}); err == nil {
 		t.Fatal("Run accepted a checkpoint and a saved placement together")
+	}
+}
+
+// TestRunRejectsPlacementOfAnotherCircuit: a start placement must be built
+// on the very circuit Run is given. One built on another circuit — even an
+// identical regeneration — is refused before Stage 2 touches it.
+func TestRunRejectsPlacementOfAnotherCircuit(t *testing.T) {
+	c, other := testCircuit(t), testCircuit(t)
+	p := place.New(other, geom.R(0, 0, 300, 300), nil)
+	before := p.TEIL()
+	_, err := Run(context.Background(), c, Start{Placement: p}, Options{Seed: 1, Ac: 5, M: 4})
+	if err == nil || !strings.Contains(err.Error(), "circuit") {
+		t.Fatalf("placement of another circuit: err %v, want a circuit mismatch", err)
+	}
+	if p.TEIL() != before {
+		t.Fatal("rejected start placement was modified")
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/par"
-	"repro/internal/refine"
 	"repro/internal/telemetry"
 )
 
@@ -248,9 +247,9 @@ type Table4Row struct {
 }
 
 // Table4 runs the TimberWolfMC-vs-baseline comparison. Baseline placements
-// receive the same Stage 2 legalization (channel definition, routing, and
-// refinement spacing) so chip areas include identical interconnect
-// allowances.
+// go through the same Stage 2 driver (core.Run: channel definition, routing
+// and refinement spacing), with 2 refinement executions to TimberWolfMC's 3
+// and, like TimberWolfMC's results here, no DRC.
 //
 // Fault isolation: a failing circuit is retried, then omitted from the
 // returned rows while its siblings complete; the error aggregates the
@@ -310,14 +309,15 @@ func Table4(cfg Config) ([]Table4Row, error) {
 	return out, par.Join(tes)
 }
 
-// EvaluateBaseline places c with the baseline method and applies the same
-// Stage 2 spacing/measurement pipeline TimberWolfMC results get.
+// EvaluateBaseline places c with the baseline method, runs Stage 2 on it
+// through core.Run (2 refinement executions, no DRC) and returns the final
+// TEIL and chip.
 func EvaluateBaseline(pl baseline.Placer, cc *netlist.Circuit, cfg Config) (teil float64, chip geom.Rect, err error) {
 	cfg.fill()
 	coreRect := estimate.CoreSize(cc, estimate.DefaultParams(), 1)
 	p := pl.Place(cc, coreRect, cfg.Seed+77)
-	s2, err := refine.RunCtx(cfg.ctx(), p, refine.Options{
-		Seed:       cfg.Seed + 99,
+	res, err := core.Run(cfg.ctx(), cc, core.Start{Placement: p}, core.Options{
+		Seed:       cfg.Seed + 99 - 0x5eed, // core adds 0x5eed, so Stage 2 keeps its seed Seed+99
 		Iterations: 2,
 		Ac:         cfg.Ac,
 		M:          cfg.M,
@@ -326,7 +326,7 @@ func EvaluateBaseline(pl baseline.Placer, cc *netlist.Circuit, cfg Config) (teil
 	if err != nil {
 		return 0, geom.Rect{}, err
 	}
-	return s2.TEIL, s2.Chip, nil
+	return res.TEIL, res.Chip, nil
 }
 
 // WriteTable4 renders rows in the paper's Table 4 format.

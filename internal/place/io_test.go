@@ -50,7 +50,7 @@ func TestPlacementRoundTrip(t *testing.T) {
 }
 
 // TestReadPlacementCoreKeepsCostsExact loads a saved placement into
-// placements on other cores, one in static mode (as core.Run's -load path
+// placements on other cores, one in static mode (as twmc's -load path
 // does) and one with an estimator: the file's core line must leave C2
 // equal to a full recompute, and TEIL (an integer span sum) equal to the
 // saved placement's.

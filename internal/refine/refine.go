@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/channel"
-	"repro/internal/geom"
 	"repro/internal/place"
 	"repro/internal/route"
 	"repro/internal/telemetry"
@@ -70,14 +69,7 @@ type Result struct {
 	// Graph and Routing are from the final iteration.
 	Graph   *channel.Graph
 	Routing *route.Result
-	// TEIL is the final total estimated interconnect length.
-	TEIL float64
-	// Chip is the final chip extent (expanded placement bounds).
-	Chip geom.Rect
 }
-
-// ChipArea returns the final chip area.
-func (r *Result) ChipArea() int64 { return r.Chip.Area() }
 
 // RouterNets converts the circuit's nets into router nets on the channel
 // graph: each connection's candidate node set is the set of regions its
@@ -137,19 +129,15 @@ func RegionDensity(g *channel.Graph, r *route.Result) []int {
 // and the refinement annealer, so a long Stage 2 stops within one
 // inner-loop stride of cancellation. The returned Result reflects the
 // completed executions; the placement keeps the refinement applied so far
-// (an interrupted pass hands back its best step-boundary placement). Every
-// intermediate state of Stage 2 is a valid placement, so there is no
-// checkpoint: rerunning Stage 2 on the saved Stage 1 placement is cheap and
-// deterministic.
+// (an interrupted pass hands back its best step-boundary placement), and
+// its TEIL and expanded bounds are the final TEIL and chip. Every
+// intermediate state of Stage 2 is a valid placement, but there is no
+// checkpoint yet: an interrupted Stage 2 is rerun from the saved Stage 1
+// placement, deterministically but at full cost (about 75 s for l1 on one
+// worker of a 2-CPU machine). core.Run is its one caller.
 func RunCtx(ctx context.Context, p *place.Placement, opt Options) (*Result, error) {
 	opt.fill()
 	res := &Result{}
-	// The current placement always yields a meaningful TEIL/chip extent,
-	// even when the loop stops early.
-	defer func() {
-		res.TEIL = p.TEIL()
-		res.Chip = p.ExpandedBounds()
-	}()
 	for iter := 0; iter < opt.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("refine: interrupted before iteration %d: %w", iter+1, err)

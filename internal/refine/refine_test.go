@@ -2,6 +2,7 @@ package refine
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/channel"
@@ -105,10 +106,10 @@ func TestRunConvergesAndRoutes(t *testing.T) {
 	}
 	// Table 3's point: small change between stages. Allow generous slack
 	// for the tiny test circuit but catch blowups.
-	if res.TEIL > teilAfter1*2 {
-		t.Fatalf("TEIL blew up in Stage 2: %v -> %v", teilAfter1, res.TEIL)
+	if p.TEIL() > teilAfter1*2 {
+		t.Fatalf("TEIL blew up in Stage 2: %v -> %v", teilAfter1, p.TEIL())
 	}
-	if res.ChipArea() <= 0 {
+	if p.ExpandedBounds().Area() <= 0 {
 		t.Fatal("no chip area")
 	}
 	// Final routing exists for every net.
@@ -133,9 +134,13 @@ func TestRunDeterministic(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errors: %v %v", err1, err2)
 	}
-	if r1.TEIL != r2.TEIL || r1.ChipArea() != r2.ChipArea() {
+	// The final TEIL and chip are the placement's own.
+	if p1.TEIL() != p2.TEIL() || p1.ExpandedBounds() != p2.ExpandedBounds() {
 		t.Fatalf("nondeterministic: %v/%v vs %v/%v",
-			r1.TEIL, r1.ChipArea(), r2.TEIL, r2.ChipArea())
+			p1.TEIL(), p1.ExpandedBounds(), p2.TEIL(), p2.ExpandedBounds())
+	}
+	if !reflect.DeepEqual(r1, r2) {
+		t.Fatal("nondeterministic Stage 2 results (iterations, channel graph, routing)")
 	}
 }
 
