@@ -1,5 +1,5 @@
 // Command twexp regenerates the paper's tables and figures (see DESIGN.md
-// §3 for the experiment index).
+// §3 for the experiment index; -h lists the experiment ids).
 //
 // Usage:
 //
@@ -8,13 +8,12 @@
 //	twexp -exp fig3 -trials 3
 //	twexp -exp all
 //
-// Experiments: table3, table4, fig3, fig4, fig5, fig6, eta, rho, ds,
-// refine, eqn22, all.
-//
-// A failing (circuit, trial) task is retried once with its original seed,
-// then reported individually; the surviving tasks still aggregate, so one
-// bad task costs one data point, not the whole experiment. Partial results
-// exit with code 3. SIGINT/SIGTERM stops in-flight trials promptly.
+// A failing task (one (circuit, trial) or (parameter, trial) of a table or
+// sweep, one circuit of table4, refine or eqn22) is retried once with its
+// original seed, then reported individually; the surviving tasks still
+// aggregate, so one bad task costs one data point, not the whole
+// experiment. Partial results exit with code 3. SIGINT/SIGTERM stops
+// in-flight trials promptly.
 package main
 
 import (
@@ -24,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -33,11 +33,9 @@ import (
 	"repro/internal/telcli"
 )
 
-var knownExps = []string{"table3", "table4", "fig3", "fig4", "fig5", "fig6", "eta", "rho", "ds", "refine", "eqn22"}
-
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table3,table4,fig3,fig4,fig5,fig6,eta,rho,ds,refine,eqn22,all)")
+		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(expIDs(), ",")+")")
 		full     = flag.Bool("full", false, "paper-faithful settings (Ac=400, M=20; hours of CPU)")
 		seed     = flag.Uint64("seed", 1988, "base seed")
 		trials   = flag.Int("trials", 0, "trials per data point (0 = config default)")
@@ -95,118 +93,16 @@ func main() {
 	cfg.Ctx = ctx
 	cfg.Tel = rt.Tracer
 
-	run := func(id string) error {
-		switch id {
-		case "table3":
-			fmt.Println("== Table 3: dynamic interconnect-area estimator accuracy ==")
-			rows, err := exper.Table3(cfg)
-			exper.WriteTable3(os.Stdout, rows)
-			if err != nil {
-				return err
-			}
-		case "table4":
-			fmt.Println("== Table 4: TimberWolfMC vs. baseline placement methods ==")
-			rows, err := exper.Table4(cfg)
-			exper.WriteTable4(os.Stdout, rows)
-			if err != nil {
-				return err
-			}
-		case "fig3":
-			fmt.Println("== Figure 3: normalized final TEIL vs. ratio r ==")
-			pts, err := exper.Figure3(cfg, nil)
-			exper.WriteSweep(os.Stdout, "r", "avg TEIL", pts)
-			if err != nil {
-				return err
-			}
-		case "fig4":
-			fmt.Println("== Figure 4: range-limiter window vs. T (rho=4) ==")
-			for _, r := range exper.Figure4(4) {
-				fmt.Printf("T=%8.0f  window span = %.4f of full\n", r.T, r.WxFrac)
-			}
-		case "fig5":
-			fmt.Println("== Figure 5: normalized final TEIL vs. Ac ==")
-			pts, err := exper.Figure5(cfg, nil)
-			exper.WriteSweep(os.Stdout, "Ac", "avg TEIL", pts)
-			if err != nil {
-				return err
-			}
-		case "fig6":
-			fmt.Println("== Figure 6: relative final chip area vs. Ac ==")
-			pts, err := exper.Figure6(cfg, nil)
-			exper.WriteSweep(os.Stdout, "Ac", "avg area", pts)
-			if err != nil {
-				return err
-			}
-		case "eta":
-			fmt.Println("== Ablation: eta sweep (Eqn 9; flat in [0.25,1.0]) ==")
-			pts, err := exper.AblationEta(cfg, nil)
-			for _, p := range pts {
-				fmt.Printf("eta=%-5g TEIL=%8.0f (norm %.3f)  residual overlap=%8.0f\n",
-					p.Param, p.Value, p.Normalized, p.Extra)
-			}
-			if err != nil {
-				return err
-			}
-		case "rho":
-			fmt.Println("== Ablation: rho sweep (TEIL flat in [1,4]; overlap falls) ==")
-			pts, err := exper.AblationRho(cfg, nil)
-			for _, p := range pts {
-				fmt.Printf("rho=%-3g TEIL=%8.0f (norm %.3f)  residual overlap=%8.0f\n",
-					p.Param, p.Value, p.Normalized, p.Extra)
-			}
-			if err != nil {
-				return err
-			}
-		case "ds":
-			fmt.Println("== Ablation: D_s vs D_r (paper: ~22% lower residual overlap with D_s) ==")
-			r, err := exper.AblationDsDr(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("D_s: TEIL=%8.0f overlap=%8.0f\n", r.TEILDs, r.OverlapDs)
-			fmt.Printf("D_r: TEIL=%8.0f overlap=%8.0f\n", r.TEILDr, r.OverlapDr)
-			if r.OverlapDr > 0 {
-				fmt.Printf("overlap reduction with D_s: %.0f%%\n",
-					(r.OverlapDr-r.OverlapDs)/r.OverlapDr*100)
-			}
-		case "eqn22":
-			fmt.Println("== Eqn 22 validation: detailed routing of every channel (t <= d+1) ==")
-			for _, name := range cfg.Circuits[:min(3, len(cfg.Circuits))] {
-				r, err := exper.Eqn22(cfg, name)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("%s: %d/%d channels routed within d+1 (avg t=%.2f, avg d=%.2f)\n",
-					r.Circuit, r.WithinD1, r.Routed, r.AvgT, r.AvgD)
-			}
-		case "refine":
-			fmt.Println("== Stage 2 convergence (3 refinement executions, §4.3) ==")
-			for _, name := range cfg.Circuits[:min(3, len(cfg.Circuits))] {
-				rows, err := exper.RefineConvergence(cfg, name)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("circuit %s:\n", name)
-				for _, r := range rows {
-					fmt.Printf("  iter %d: TEIL=%8.0f area=%10d excess=%d\n",
-						r.Iteration, r.TEIL, r.ChipArea, r.Excess)
-				}
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", id)
-		}
-		fmt.Println()
-		return nil
-	}
-
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = knownExps
-	}
 	exit := 0
-	for _, id := range ids {
-		if err := run(id); err != nil {
-			reportFailure(id, err)
+	for _, e := range exper.Experiments {
+		if *exp != "all" && *exp != e.ID {
+			continue
+		}
+		fmt.Printf("== %s ==\n", e.Title)
+		err := e.Run(cfg, os.Stdout)
+		fmt.Println()
+		if err != nil {
+			reportFailure(e.ID, err)
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				// Cancelled: later experiments would fail the same way.
 				closeTelemetry()
@@ -238,19 +134,19 @@ func reportFailure(id string, err error) {
 	fmt.Fprintf(os.Stderr, "twexp: %s: %v\n", id, err)
 }
 
+// expIDs returns every experiment id in -exp all order, then "all".
+func expIDs() []string {
+	ids := []string{}
+	for _, e := range exper.Experiments {
+		ids = append(ids, e.ID)
+	}
+	return append(ids, "all")
+}
+
 // validateFlags rejects out-of-range flag values with a usage error.
 func validateFlags(exp string, trials, ac, m, workers, replicas, retries int, circuits string) error {
-	if exp != "all" {
-		known := false
-		for _, id := range knownExps {
-			if id == exp {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("-exp must be one of all,%s (got %q)", strings.Join(knownExps, ","), exp)
-		}
+	if !slices.Contains(expIDs(), exp) {
+		return fmt.Errorf("-exp must be one of %s (got %q)", strings.Join(expIDs(), ","), exp)
 	}
 	switch {
 	case trials < 0:

@@ -49,7 +49,7 @@
 //	POST /jobs/{id}/cancel  cancel a queued or running job
 //	GET  /healthz           process liveness
 //	GET  /readyz            accepting jobs? (503 while draining or disk-full)
-//	GET  /metrics           live metrics snapshot (JSON)
+//	GET  /metrics           live metrics (Prometheus text format)
 //
 // SIGTERM or SIGINT starts a graceful drain: /readyz flips to 503, new
 // submissions are rejected, running jobs checkpoint and journal themselves
@@ -290,10 +290,7 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /jobs/{id}/placement", s.handlePlacement)
 	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintf(w, "ok version=%s go=%s node=%s\n",
-			s.build.Version, s.build.Go, s.build.Node)
-	})
+	s.rt.MountMetrics(mux, s.build, s.logf) // GET /metrics, GET /healthz
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		if !s.ready.Load() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
@@ -312,7 +309,6 @@ func (s *server) mux() *http.ServeMux {
 		}
 		io.WriteString(w, "ok\n")
 	})
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
 
@@ -646,7 +642,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	ids := strings.Split(idsParam, ",")
 	items := make([]statusItem, len(ids))
 	for i, id := range ids {
-		j, ok := s.lookup(id)
+		j, ok := s.store.Lookup(id)
 		if !ok {
 			items[i] = statusItem{jobView: jobView{ID: id}, Error: "no such job"}
 			continue
@@ -654,17 +650,6 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		items[i] = statusItem{jobView: view(j)}
 	}
 	writeJSON(w, http.StatusOK, items)
-}
-
-// lookup resolves a job ID, rescanning the store on a miss: in fleet mode a
-// peer may have published the job between this node's scan ticks, and a
-// client that just got a 202 from that peer expects its ID to resolve here.
-func (s *server) lookup(id string) (*jobs.Job, bool) {
-	if j, ok := s.store.Get(id); ok {
-		return j, true
-	}
-	s.store.Rescan()
-	return s.store.Get(id)
 }
 
 func circuitLabel(spec *jobs.Spec) string {
@@ -684,7 +669,7 @@ func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) job(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.store.Lookup(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no job %s", r.PathValue("id")))
 	}
@@ -777,15 +762,4 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		"canceled": canceled,
 		"state":    j.Last().State,
 	})
-}
-
-// handleMetrics serves the registry in the Prometheus text exposition
-// format (version 0.0.4). The JSON snapshot remains available via the
-// -metrics exit file; scrapers get the standard format.
-func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.rt.FoldPoolStats()
-	w.Header().Set("Content-Type", telemetry.PrometheusContentType)
-	if err := s.rt.Registry().WritePrometheus(w); err != nil {
-		s.logf("metrics: %v", err)
-	}
 }

@@ -18,6 +18,10 @@ import (
 	"repro/internal/telemetry"
 )
 
+// Stage2SeedOffset is added to Options.Seed to seed Stage 2, so the
+// refinement anneal draws a stream independent of Stage 1's.
+const Stage2SeedOffset = 0x5eed
+
 // Options configures a full TimberWolfMC run. Zero values select the
 // paper's defaults.
 type Options struct {
@@ -258,7 +262,7 @@ func handOff(ctx context.Context, p *place.Placement, s1 place.Result, s1err err
 		return res, s1err
 	}
 	s2, err := refine.RunCtx(ctx, p, refine.Options{
-		Seed:       opt.Seed + 0x5eed,
+		Seed:       opt.Seed + Stage2SeedOffset,
 		Iterations: opt.Iterations,
 		Ac:         opt.Ac,
 		Rho:        opt.Rho,

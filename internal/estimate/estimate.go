@@ -53,9 +53,8 @@ func (p Params) Alpha() float64 {
 type Estimator struct {
 	p     Params
 	core  geom.Rect
-	cw    float64 // expected average channel width C_w
 	alpha float64
-	// halfACw = 0.5·α·C_w, the position-independent prefix of Eqn 2.
+	// halfACw = 0.5·C_w/α, the position-independent prefix of Eqn 2.
 	halfACw float64
 }
 
@@ -81,14 +80,10 @@ func NewWithChannelWidth(core geom.Rect, cw float64, p Params) *Estimator {
 	return &Estimator{
 		p:       p,
 		core:    core,
-		cw:      cw,
 		alpha:   a,
 		halfACw: 0.5 / a * cw,
 	}
 }
-
-// ChannelWidth returns C_w (Eqn 1).
-func (e *Estimator) ChannelWidth() float64 { return e.cw }
 
 // Core returns the core rectangle the estimator is normalized over.
 func (e *Estimator) Core() geom.Rect { return e.core }

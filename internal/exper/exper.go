@@ -1,9 +1,10 @@
 // Package exper regenerates every table and figure of the paper's
-// evaluation (§5 and the in-text studies): Table 3 (dynamic estimator
-// accuracy), Table 4 (TEIL/area versus other placement methods), Figure 3
-// (displacement:interchange ratio sweep), Figures 5–6 (inner-loop criterion
-// sweeps), and the η, ρ, and D_s/D_r ablations. The same entry points back
-// cmd/twexp (full size) and the root bench harness (calibrated size).
+// evaluation (§5 and the in-text studies). Experiments lists them, in the
+// order cmd/twexp -exp all runs them; each entry owns its rendering, so the
+// command only adds a banner. The same entry points back the root bench
+// harness (calibrated size). Every experiment runs its tasks on one of two
+// fault-isolated runners: runGrid (parameter × trial grids) or perCircuit
+// (one task per preset).
 package exper
 
 import (
@@ -119,6 +120,183 @@ func Quick() Config { return Config{Trials: 1, Ac: 25, M: 6} }
 // Full returns the paper-faithful configuration (hours of CPU).
 func Full() Config { return Config{Trials: 2, Ac: 400, M: 20} }
 
+// Experiment is one experiment as cmd/twexp runs it. Run writes the
+// rendered result (everything after the "== Title ==" banner) to w; on a
+// partial run it writes the surviving rows and returns the per-task
+// failures (par.Join).
+type Experiment struct {
+	ID    string
+	Title string
+	Run   func(Config, io.Writer) error
+}
+
+// Experiments is every experiment, in cmd/twexp -exp all order.
+var Experiments = []Experiment{
+	{"table3", "Table 3: dynamic interconnect-area estimator accuracy", func(cfg Config, w io.Writer) error {
+		rows, err := Table3(cfg)
+		WriteTable3(w, rows)
+		return err
+	}},
+	{"table4", "Table 4: TimberWolfMC vs. baseline placement methods", func(cfg Config, w io.Writer) error {
+		rows, err := Table4(cfg)
+		WriteTable4(w, rows)
+		return err
+	}},
+	{"fig3", "Figure 3: normalized final TEIL vs. ratio r", sweepTable("r", "avg TEIL",
+		func(cfg Config) ([]SweepPoint, error) { return Figure3(cfg, nil) })},
+	{"fig4", "Figure 4: range-limiter window vs. T (rho=4)", func(_ Config, w io.Writer) error {
+		for _, r := range Figure4(4) {
+			fmt.Fprintf(w, "T=%8.0f  window span = %.4f of full\n", r.T, r.WxFrac)
+		}
+		return nil
+	}},
+	{"fig5", "Figure 5: normalized final TEIL vs. Ac", sweepTable("Ac", "avg TEIL",
+		func(cfg Config) ([]SweepPoint, error) { return Figure5(cfg, nil) })},
+	{"fig6", "Figure 6: relative final chip area vs. Ac", sweepTable("Ac", "avg area",
+		func(cfg Config) ([]SweepPoint, error) { return Figure6(cfg, nil) })},
+	{"eta", "Ablation: eta sweep (Eqn 9; flat in [0.25,1.0])", overlapLines("eta", 5,
+		func(cfg Config) ([]SweepPoint, error) { return AblationEta(cfg, nil) })},
+	{"rho", "Ablation: rho sweep (TEIL flat in [1,4]; overlap falls)", overlapLines("rho", 3,
+		func(cfg Config) ([]SweepPoint, error) { return AblationRho(cfg, nil) })},
+	{"ds", "Ablation: D_s vs D_r (paper: ~22% lower residual overlap with D_s)", func(cfg Config, w io.Writer) error {
+		r, err := AblationDsDr(cfg)
+		if err != nil {
+			return err // a partial comparison would rest on unequal trial sets
+		}
+		fmt.Fprintf(w, "D_s: TEIL=%8.0f overlap=%8.0f\n", r.TEILDs, r.OverlapDs)
+		fmt.Fprintf(w, "D_r: TEIL=%8.0f overlap=%8.0f\n", r.TEILDr, r.OverlapDr)
+		if r.OverlapDr > 0 {
+			fmt.Fprintf(w, "overlap reduction with D_s: %.0f%%\n", (r.OverlapDr-r.OverlapDs)/r.OverlapDr*100)
+		}
+		return nil
+	}},
+	{"refine", "Stage 2 convergence (3 refinement executions, §4.3)", func(cfg Config, w io.Writer) error {
+		type trace struct {
+			circuit string
+			rows    []RefineRow
+		}
+		traces, err := perCircuit(cfg, "refine", firstThree(cfg), func(name string) (trace, error) {
+			rows, err := RefineConvergence(cfg, name)
+			return trace{name, rows}, err
+		})
+		for _, tr := range traces {
+			fmt.Fprintf(w, "circuit %s:\n", tr.circuit)
+			for _, r := range tr.rows {
+				fmt.Fprintf(w, "  iter %d: TEIL=%8.0f area=%10d excess=%d\n", r.Iteration, r.TEIL, r.ChipArea, r.Excess)
+			}
+		}
+		return err
+	}},
+	{"eqn22", "Eqn 22 validation: detailed routing of every channel (t <= d+1)", func(cfg Config, w io.Writer) error {
+		results, err := perCircuit(cfg, "eqn22", firstThree(cfg), func(name string) (Eqn22Result, error) {
+			return Eqn22(cfg, name)
+		})
+		for _, r := range results {
+			fmt.Fprintf(w, "%s: %d/%d channels routed within d+1 (avg t=%.2f, avg d=%.2f)\n",
+				r.Circuit, r.WithinD1, r.Routed, r.AvgT, r.AvgD)
+		}
+		return err
+	}},
+}
+
+// sweepTable renders a sweep as a WriteSweep table.
+func sweepTable(param, metric string, run func(Config) ([]SweepPoint, error)) func(Config, io.Writer) error {
+	return func(cfg Config, w io.Writer) error {
+		pts, err := run(cfg)
+		WriteSweep(w, param, metric, pts)
+		return err
+	}
+}
+
+// overlapLines renders an ablation sweep one line per point, with the
+// residual overlap (SweepPoint.Extra); width pads the parameter value.
+func overlapLines(param string, width int, run func(Config) ([]SweepPoint, error)) func(Config, io.Writer) error {
+	return func(cfg Config, w io.Writer) error {
+		pts, err := run(cfg)
+		for _, p := range pts {
+			fmt.Fprintf(w, "%s=%-*g TEIL=%8.0f (norm %.3f)  residual overlap=%8.0f\n",
+				param, width, p.Param, p.Value, p.Normalized, p.Extra)
+		}
+		return err
+	}
+}
+
+// firstThree is the circuit subset of the per-circuit studies (refine,
+// eqn22): the first three of cfg.Circuits.
+func firstThree(cfg Config) []string {
+	cfg.fill()
+	return cfg.Circuits[:min(3, len(cfg.Circuits))]
+}
+
+// runGrid evaluates fn over the nparams × cfg.Trials grid on the worker
+// pool, task (pi, t) named id(pi, t) to the TaskHook and in its error, and
+// returns the per-param trial averages of both metrics and the number of
+// trials that survived for each param. Trials fan out in parallel (inputs
+// such as a sweep's circuit are shared read-only); the averages accumulate
+// serially in grid order, so results are bytewise identical for every
+// worker count.
+//
+// A failing trial is retried, then excluded from its parameter's average
+// (the divisor is the surviving-trial count); a parameter with no surviving
+// trial keeps a zero value. The values are usable whenever some trials
+// succeeded; the error (par.Join) reports every failed task.
+func runGrid(cfg Config, nparams int, id func(pi, t int) string, fn func(pi, t int) (value, extra float64, err error)) (vals, extras []float64, ok []int, err error) {
+	type out struct{ value, extra float64 }
+	outs, tes := par.MapRetry(cfg.ctx(), cfg.Workers, nparams*cfg.Trials, cfg.retries(), func(k int) (out, error) {
+		pi, t := k/cfg.Trials, k%cfg.Trials
+		tid := id(pi, t)
+		cfg.hook(tid)
+		v, e, err := fn(pi, t)
+		if err != nil {
+			err = fmt.Errorf("%s: %w", tid, err)
+		}
+		return out{v, e}, err
+	})
+	failed := par.Failed(tes)
+	vals = make([]float64, nparams)
+	extras = make([]float64, nparams)
+	ok = make([]int, nparams)
+	for k, o := range outs {
+		if pi := k / cfg.Trials; failed[k] == nil {
+			vals[pi] += o.value
+			extras[pi] += o.extra
+			ok[pi]++
+		}
+	}
+	for pi, n := range ok {
+		if n > 0 {
+			vals[pi] /= float64(n)
+			extras[pi] /= float64(n)
+		}
+	}
+	return vals, extras, ok, par.Join(tes)
+}
+
+// perCircuit runs run once per circuit name as one fault-isolated task
+// (id "<exp> <name>", passed to the TaskHook and prefixed to the task's
+// error) on the worker pool and returns the results of the tasks that
+// succeeded, in name order. A failing task is retried, then left out while
+// its siblings complete; the error (par.Join) reports every failed task.
+func perCircuit[T any](cfg Config, exp string, names []string, run func(name string) (T, error)) ([]T, error) {
+	outs, tes := par.MapRetry(cfg.ctx(), cfg.Workers, len(names), cfg.retries(), func(i int) (T, error) {
+		id := exp + " " + names[i]
+		cfg.hook(id)
+		out, err := run(names[i])
+		if err != nil {
+			err = fmt.Errorf("%s: %w", id, err)
+		}
+		return out, err
+	})
+	failed := par.Failed(tes)
+	kept := outs[:0]
+	for i, o := range outs {
+		if failed[i] == nil {
+			kept = append(kept, o)
+		}
+	}
+	return kept, par.Join(tes)
+}
+
 // --------------------------------------------------------------- Table 3
 
 // Table3Row is one circuit's estimator-accuracy result: the percentage
@@ -135,8 +313,9 @@ type Table3Row struct {
 }
 
 // Table3 runs the estimator-accuracy experiment. The (circuit, trial) grid
-// fans out over the worker pool; every trial generates its own circuit (the
-// synthesis is seed-deterministic) so tasks share no mutable state.
+// fans out over the worker pool (runGrid); every trial generates its own
+// circuit (the synthesis is seed-deterministic) so tasks share no mutable
+// state.
 //
 // Fault isolation: a panicking or failing trial is retried, then excluded
 // from its circuit's average (the row reports how many trials contributed);
@@ -145,17 +324,13 @@ type Table3Row struct {
 // reports every per-task failure.
 func Table3(cfg Config) ([]Table3Row, error) {
 	cfg.fill()
-	type trialOut struct {
-		cells, nets, pins int
-		teilRed, areaRed  float64
-	}
-	n := len(cfg.Circuits) * cfg.Trials
-	outs, tes := par.MapRetry(cfg.ctx(), cfg.Workers, n, cfg.retries(), func(k int) (trialOut, error) {
-		name, t := cfg.Circuits[k/cfg.Trials], k%cfg.Trials
-		cfg.hook(fmt.Sprintf("table3 %s trial %d", name, t))
+	teilRed, areaRed, ok, err := runGrid(cfg, len(cfg.Circuits), func(ci, t int) string {
+		return fmt.Sprintf("table3 %s trial %d", cfg.Circuits[ci], t)
+	}, func(ci, t int) (float64, float64, error) {
+		name := cfg.Circuits[ci]
 		c, err := gen.Preset(name, cfg.Seed+17)
 		if err != nil {
-			return trialOut{}, err
+			return 0, 0, err
 		}
 		res, err := core.PlaceCtx(cfg.ctx(), c, core.Options{
 			Seed:     cfg.Seed + uint64(t)*1009,
@@ -165,36 +340,25 @@ func Table3(cfg Config) ([]Table3Row, error) {
 			Workers:  1,
 		})
 		if err != nil {
-			return trialOut{}, fmt.Errorf("table3 %s trial %d: %w", name, t, err)
+			return 0, 0, err
 		}
-		return trialOut{
-			cells: len(c.Cells), nets: len(c.Nets), pins: c.NumPins(),
-			teilRed: -res.TEILChangePct(), areaRed: -res.AreaChangePct(),
-		}, nil
+		return -res.TEILChangePct(), -res.AreaChangePct(), nil
 	})
-	failed := par.Failed(tes)
 	rows := make([]Table3Row, 0, len(cfg.Circuits))
 	for ci, name := range cfg.Circuits {
-		row := Table3Row{Circuit: name}
-		for t := 0; t < cfg.Trials; t++ {
-			k := ci*cfg.Trials + t
-			if failed[k] != nil {
-				continue
-			}
-			o := outs[k]
-			row.Cells, row.Nets, row.Pins = o.cells, o.nets, o.pins
-			row.TEILRedPct += o.teilRed
-			row.AreaRedPct += o.areaRed
-			row.Trials++
-		}
-		if row.Trials == 0 {
+		if ok[ci] == 0 {
 			continue
 		}
-		row.TEILRedPct /= float64(row.Trials)
-		row.AreaRedPct /= float64(row.Trials)
-		rows = append(rows, row)
+		c, _ := gen.Preset(name, cfg.Seed+17) // a trial already built it without error
+		rows = append(rows, Table3Row{
+			Circuit: name,
+			Cells:   len(c.Cells), Nets: len(c.Nets), Pins: c.NumPins(),
+			Trials:     ok[ci],
+			TEILRedPct: teilRed[ci],
+			AreaRedPct: areaRed[ci],
+		})
 	}
-	return rows, par.Join(tes)
+	return rows, err
 }
 
 // WriteTable3 renders rows in the paper's Table 3 format.
@@ -251,16 +415,14 @@ type Table4Row struct {
 // and refinement spacing), with 2 refinement executions to TimberWolfMC's 3
 // and, like TimberWolfMC's results here, no DRC.
 //
-// Fault isolation: a failing circuit is retried, then omitted from the
-// returned rows while its siblings complete; the error aggregates the
-// per-circuit failures (see Table3).
+// Fault isolation (perCircuit): a failing circuit is retried, then omitted
+// from the returned rows while its siblings complete; the error aggregates
+// the per-circuit failures.
 func Table4(cfg Config) ([]Table4Row, error) {
 	cfg.fill()
 	// One task per circuit (each runs TimberWolfMC plus its baseline);
 	// rows land in preset order regardless of completion order.
-	rows, tes := par.MapRetry(cfg.ctx(), cfg.Workers, len(cfg.Circuits), cfg.retries(), func(ci int) (Table4Row, error) {
-		name := cfg.Circuits[ci]
-		cfg.hook("table4 " + name)
+	return perCircuit(cfg, "table4", cfg.Circuits, func(name string) (Table4Row, error) {
 		c, err := gen.Preset(name, cfg.Seed+17)
 		if err != nil {
 			return Table4Row{}, err
@@ -276,18 +438,18 @@ func Table4(cfg Config) ([]Table4Row, error) {
 			Replicas: cfg.Replicas, Workers: 1,
 		})
 		if err != nil {
-			return Table4Row{}, fmt.Errorf("table4 %s: %w", name, err)
+			return Table4Row{}, err
 		}
 		row.TEIL = res.TEIL
 		row.Chip = res.Chip
 		// Baseline with identical post-processing.
 		pl, ok := baseline.ByName(row.Baseline)
 		if !ok {
-			return Table4Row{}, fmt.Errorf("table4 %s: no baseline placer %q", name, row.Baseline)
+			return Table4Row{}, fmt.Errorf("no baseline placer %q", row.Baseline)
 		}
 		bt, bc, err := EvaluateBaseline(pl, c, cfg)
 		if err != nil {
-			return Table4Row{}, fmt.Errorf("table4 %s baseline: %w", name, err)
+			return Table4Row{}, fmt.Errorf("baseline: %w", err)
 		}
 		row.BaseTEIL = bt
 		row.BaseChip = bc
@@ -299,14 +461,6 @@ func Table4(cfg Config) ([]Table4Row, error) {
 		}
 		return row, nil
 	})
-	failed := par.Failed(tes)
-	out := rows[:0]
-	for ci := range rows {
-		if failed[ci] == nil {
-			out = append(out, rows[ci])
-		}
-	}
-	return out, par.Join(tes)
 }
 
 // EvaluateBaseline places c with the baseline method, runs Stage 2 on it
@@ -317,7 +471,7 @@ func EvaluateBaseline(pl baseline.Placer, cc *netlist.Circuit, cfg Config) (teil
 	coreRect := estimate.CoreSize(cc, estimate.DefaultParams(), 1)
 	p := pl.Place(cc, coreRect, cfg.Seed+77)
 	res, err := core.Run(cfg.ctx(), cc, core.Start{Placement: p}, core.Options{
-		Seed:       cfg.Seed + 99 - 0x5eed, // core adds 0x5eed, so Stage 2 keeps its seed Seed+99
+		Seed:       cfg.Seed + 99 - core.Stage2SeedOffset, // Stage 2 keeps its seed Seed+99
 		Iterations: 2,
 		Ac:         cfg.Ac,
 		M:          cfg.M,

@@ -166,3 +166,58 @@ func TestTable3CancellationAggregatesCompleted(t *testing.T) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}
 }
+
+// experiment returns the Experiments entry with the given id.
+func experiment(t *testing.T, id string) Experiment {
+	t.Helper()
+	for _, e := range Experiments {
+		if e.ID == id {
+			return e
+		}
+	}
+	t.Fatalf("no experiment %q", id)
+	return Experiment{}
+}
+
+// TestPerCircuitStudiesIsolateFaults: refine and eqn22 run one task per
+// circuit on perCircuit, so a circuit that keeps panicking is retried, then
+// left out of the output while its sibling still prints.
+func TestPerCircuitStudiesIsolateFaults(t *testing.T) {
+	for _, tc := range []struct{ id, good, bad string }{
+		{"refine", "circuit i3:", "circuit i2:"},
+		{"eqn22", "i3: ", "i2: "},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			cfg := tiny()
+			cfg.Circuits = []string{"i3", "i2"}
+			cfg.Workers = 2
+			inj := newFaultInjector(tc.id + " i2")
+			cfg.TaskHook = inj.hook
+			var sb strings.Builder
+			err := experiment(t, tc.id).Run(cfg, &sb)
+			var te *par.TaskError
+			if !errors.As(err, &te) || te.Attempts != 2 {
+				t.Fatalf("error %v does not report the failed circuit after its retry", err)
+			}
+			if got := inj.attempts(tc.id + " i3"); got != 1 {
+				t.Fatalf("sibling ran %d times, want 1", got)
+			}
+			out := sb.String()
+			if !strings.Contains(out, tc.good) || strings.Contains(out, tc.bad) {
+				t.Fatalf("output should hold only the surviving circuit:\n%s", out)
+			}
+		})
+	}
+}
+
+// TestExperimentsUnique: every experiment has a distinct id, a title and
+// a Run, and none is named "all" (twexp's select-everything id).
+func TestExperimentsUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Experiments {
+		if e.ID == "" || e.ID == "all" || seen[e.ID] || e.Title == "" || e.Run == nil {
+			t.Fatalf("bad or duplicate experiment %+v", e)
+		}
+		seen[e.ID] = true
+	}
+}

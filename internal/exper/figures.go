@@ -3,13 +3,12 @@ package exper
 import (
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 
+	"repro/internal/anneal"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/netlist"
-	"repro/internal/par"
 	"repro/internal/place"
 	"repro/internal/refine"
 )
@@ -21,49 +20,27 @@ type SweepPoint struct {
 	Param      float64
 	Value      float64
 	Normalized float64
-	// Extra carries a second metric where a figure needs one (residual
-	// overlap for the ρ and D_s studies).
+	// Extra carries a second metric: the residual overlap of the Stage 1
+	// sweeps on the Figure 3 circuit class (r, η, ρ, D_s/D_r); zero for
+	// the A_c sweeps.
 	Extra float64
 }
 
-// runGrid evaluates fn over the nparams × cfg.Trials grid on the worker
-// pool and returns the per-param trial averages of both metrics. Trials
-// fan out in parallel (the circuits under test are shared read-only); the
-// averages accumulate serially in grid order, so results are bytewise
-// identical for every worker count.
-//
-// A failing trial is retried, then excluded from its parameter's average
-// (the divisor is the surviving-trial count); a parameter with no surviving
-// trial keeps a zero value. The values are usable whenever some trials
-// succeeded; the error aggregates the per-task failures.
-func runGrid(cfg Config, name string, nparams int, fn func(pi, trial int) (value, extra float64, err error)) (vals, extras []float64, err error) {
-	type out struct{ value, extra float64 }
-	outs, tes := par.MapRetry(cfg.ctx(), cfg.Workers, nparams*cfg.Trials, cfg.retries(), func(k int) (out, error) {
-		pi, t := k/cfg.Trials, k%cfg.Trials
-		cfg.hook(fmt.Sprintf("%s param %d trial %d", name, pi, t))
-		v, e, err := fn(pi, t)
-		return out{v, e}, err
+// sweep averages each parameter value's metrics over cfg.Trials trials on
+// runGrid (task id "<name> param <i> trial <t>", trial t seeded
+// cfg.Seed+733·t) and normalizes the averages to their minimum.
+func sweep(cfg Config, name string, params []float64, fn func(param float64, seed uint64) (value, extra float64, err error)) ([]SweepPoint, error) {
+	vals, extras, _, err := runGrid(cfg, len(params), func(pi, t int) string {
+		return fmt.Sprintf("%s param %d trial %d", name, pi, t)
+	}, func(pi, t int) (float64, float64, error) {
+		return fn(params[pi], cfg.Seed+uint64(t)*733)
 	})
-	failed := par.Failed(tes)
-	vals = make([]float64, nparams)
-	extras = make([]float64, nparams)
-	for pi := 0; pi < nparams; pi++ {
-		ok := 0
-		for t := 0; t < cfg.Trials; t++ {
-			k := pi*cfg.Trials + t
-			if failed[k] != nil {
-				continue
-			}
-			vals[pi] += outs[k].value
-			extras[pi] += outs[k].extra
-			ok++
-		}
-		if ok > 0 {
-			vals[pi] /= float64(ok)
-			extras[pi] /= float64(ok)
-		}
+	points := make([]SweepPoint, len(params))
+	for pi, p := range params {
+		points[pi] = SweepPoint{Param: p, Value: vals[pi], Extra: extras[pi]}
 	}
-	return vals, extras, par.Join(tes)
+	normalize(points)
+	return points, err
 }
 
 func normalize(points []SweepPoint) {
@@ -99,33 +76,32 @@ func fig3Circuit(seed uint64) (*netlist.Circuit, error) {
 	}, seed)
 }
 
-// Figure3 sweeps the ratio r of single-cell displacements to pairwise
-// interchanges and reports the normalized average final TEIL. The paper
-// finds a flat optimum for r in [7, 15] (circuits of ~25 macro cells,
-// A_c = 200).
-func Figure3(cfg Config, ratios []float64) ([]SweepPoint, error) {
+// fig3Sweep runs Stage 1 at cfg.Ac on the Figure 3 circuit class, set
+// applying each parameter value to the options, and records final TEIL and
+// residual overlap (Extra).
+func fig3Sweep(cfg Config, name string, params []float64, set func(*place.Options, float64)) ([]SweepPoint, error) {
 	cfg.fill()
-	if len(ratios) == 0 {
-		ratios = []float64{1, 2, 4, 7, 10, 15, 20, 30}
-	}
 	c, err := fig3Circuit(cfg.Seed + 3)
 	if err != nil {
 		return nil, err
 	}
-	vals, _, gerr := runGrid(cfg, "figure3", len(ratios), func(pi, t int) (float64, float64, error) {
-		_, res, err := place.RunStage1Ctx(cfg.ctx(), c, place.Options{
-			Seed: cfg.Seed + uint64(t)*733,
-			Ac:   cfg.Ac,
-			R:    ratios[pi],
-		})
-		return res.TEIL, 0, err
+	return sweep(cfg, name, params, func(p float64, seed uint64) (float64, float64, error) {
+		opt := place.Options{Seed: seed, Ac: cfg.Ac}
+		set(&opt, p)
+		_, res, err := place.RunStage1Ctx(cfg.ctx(), c, opt)
+		return res.TEIL, float64(res.Overlap), err
 	})
-	points := make([]SweepPoint, len(ratios))
-	for pi, r := range ratios {
-		points[pi] = SweepPoint{Param: r, Value: vals[pi]}
+}
+
+// Figure3 sweeps the ratio r of single-cell displacements to pairwise
+// interchanges and reports the normalized average final TEIL (Extra holds
+// the residual overlap, which the figure does not plot). The paper finds a
+// flat optimum for r in [7, 15] (circuits of ~25 macro cells, A_c = 200).
+func Figure3(cfg Config, ratios []float64) ([]SweepPoint, error) {
+	if len(ratios) == 0 {
+		ratios = []float64{1, 2, 4, 7, 10, 15, 20, 30}
 	}
-	normalize(points)
-	return points, gerr
+	return fig3Sweep(cfg, "figure3", ratios, func(o *place.Options, r float64) { o.R = r })
 }
 
 // fig5Circuit builds the 30–60-cell circuit class of Figures 5–6.
@@ -136,10 +112,9 @@ func fig5Circuit(seed uint64) (*netlist.Circuit, error) {
 	}, seed)
 }
 
-// Figure5 sweeps the inner-loop criterion A_c and reports the normalized
-// average final TEIL; the paper finds A_c ≈ 400 sufficient and A_c = 25
-// about 13% worse.
-func Figure5(cfg Config, acs []int) ([]SweepPoint, error) {
+// acSweep sweeps the inner-loop criterion A_c (default 10…400) on the
+// Figures 5–6 circuit class, measuring each run with metric.
+func acSweep(cfg Config, name string, acs []int, metric func(c *netlist.Circuit, ac int, seed uint64) (float64, error)) ([]SweepPoint, error) {
 	cfg.fill()
 	if len(acs) == 0 {
 		acs = []int{10, 25, 50, 100, 200, 400}
@@ -148,104 +123,55 @@ func Figure5(cfg Config, acs []int) ([]SweepPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals, _, gerr := runGrid(cfg, "figure5", len(acs), func(pi, t int) (float64, float64, error) {
-		_, res, err := place.RunStage1Ctx(cfg.ctx(), c, place.Options{
-			Seed: cfg.Seed + uint64(t)*733,
-			Ac:   acs[pi],
-		})
-		return res.TEIL, 0, err
-	})
-	points := make([]SweepPoint, len(acs))
-	for pi, ac := range acs {
-		points[pi] = SweepPoint{Param: float64(ac), Value: vals[pi]}
+	params := make([]float64, len(acs))
+	for i, ac := range acs {
+		params[i] = float64(ac)
 	}
-	normalize(points)
-	return points, gerr
+	return sweep(cfg, name, params, func(ac float64, seed uint64) (float64, float64, error) {
+		v, err := metric(c, int(ac), seed)
+		return v, 0, err
+	})
+}
+
+// Figure5 sweeps the inner-loop criterion A_c and reports the normalized
+// average final TEIL; the paper finds A_c ≈ 400 sufficient and A_c = 25
+// about 13% worse.
+func Figure5(cfg Config, acs []int) ([]SweepPoint, error) {
+	return acSweep(cfg, "figure5", acs, func(c *netlist.Circuit, ac int, seed uint64) (float64, error) {
+		_, res, err := place.RunStage1Ctx(cfg.ctx(), c, place.Options{Seed: seed, Ac: ac})
+		return res.TEIL, err
+	})
 }
 
 // Figure6 sweeps A_c and reports the relative final chip area after global
 // routing and placement refinement (the full flow).
 func Figure6(cfg Config, acs []int) ([]SweepPoint, error) {
-	cfg.fill()
-	if len(acs) == 0 {
-		acs = []int{10, 25, 50, 100, 200, 400}
-	}
-	c, err := fig5Circuit(cfg.Seed + 5)
-	if err != nil {
-		return nil, err
-	}
-	vals, _, gerr := runGrid(cfg, "figure6", len(acs), func(pi, t int) (float64, float64, error) {
-		res, err := core.PlaceCtx(cfg.ctx(), c, core.Options{
-			Seed: cfg.Seed + uint64(t)*733,
-			Ac:   acs[pi],
-			M:    cfg.M,
-		})
+	return acSweep(cfg, "figure6", acs, func(c *netlist.Circuit, ac int, seed uint64) (float64, error) {
+		res, err := core.PlaceCtx(cfg.ctx(), c, core.Options{Seed: seed, Ac: ac, M: cfg.M})
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		return float64(res.ChipArea()), 0, nil
+		return float64(res.ChipArea()), nil
 	})
-	points := make([]SweepPoint, len(acs))
-	for pi, ac := range acs {
-		points[pi] = SweepPoint{Param: float64(ac), Value: vals[pi]}
-	}
-	normalize(points)
-	return points, gerr
 }
 
 // AblationEta sweeps the overlap-normalization target η (Eqn 9). The paper
 // reports performance flat for η in [0.25, 1.0], degrading outside.
 func AblationEta(cfg Config, etas []float64) ([]SweepPoint, error) {
-	cfg.fill()
 	if len(etas) == 0 {
 		etas = []float64{0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0}
 	}
-	c, err := fig3Circuit(cfg.Seed + 3)
-	if err != nil {
-		return nil, err
-	}
-	vals, extras, gerr := runGrid(cfg, "eta", len(etas), func(pi, t int) (float64, float64, error) {
-		_, res, err := place.RunStage1Ctx(cfg.ctx(), c, place.Options{
-			Seed: cfg.Seed + uint64(t)*733,
-			Ac:   cfg.Ac,
-			Eta:  etas[pi],
-		})
-		return res.TEIL, float64(res.Overlap), err
-	})
-	points := make([]SweepPoint, len(etas))
-	for pi, eta := range etas {
-		points[pi] = SweepPoint{Param: eta, Value: vals[pi], Extra: extras[pi]}
-	}
-	normalize(points)
-	return points, gerr
+	return fig3Sweep(cfg, "eta", etas, func(o *place.Options, eta float64) { o.Eta = eta })
 }
 
 // AblationRho sweeps the range-limiter shrink rate ρ (§3.2.2): final TEIL is
 // flat for ρ in [1, 4] while the residual overlap falls as ρ grows; the
 // paper selects ρ = 4.
 func AblationRho(cfg Config, rhos []float64) ([]SweepPoint, error) {
-	cfg.fill()
 	if len(rhos) == 0 {
 		rhos = []float64{1, 2, 4, 8}
 	}
-	c, err := fig3Circuit(cfg.Seed + 3)
-	if err != nil {
-		return nil, err
-	}
-	vals, extras, gerr := runGrid(cfg, "rho", len(rhos), func(pi, t int) (float64, float64, error) {
-		_, res, err := place.RunStage1Ctx(cfg.ctx(), c, place.Options{
-			Seed: cfg.Seed + uint64(t)*733,
-			Ac:   cfg.Ac,
-			Rho:  rhos[pi],
-		})
-		return res.TEIL, float64(res.Overlap), err
-	})
-	points := make([]SweepPoint, len(rhos))
-	for pi, rho := range rhos {
-		points[pi] = SweepPoint{Param: rho, Value: vals[pi], Extra: extras[pi]}
-	}
-	normalize(points)
-	return points, gerr
+	return fig3Sweep(cfg, "rho", rhos, func(o *place.Options, rho float64) { o.Rho = rho })
 }
 
 // DsDrResult compares the displacement-point selectors (§3.2.3): the paper
@@ -257,22 +183,15 @@ type DsDrResult struct {
 
 // AblationDsDr runs the D_s vs. D_r comparison.
 func AblationDsDr(cfg Config) (DsDrResult, error) {
-	cfg.fill()
-	c, err := fig3Circuit(cfg.Seed + 3)
-	if err != nil {
+	// Param 0 is D_s, param 1 is D_r; trials of both fan out together.
+	pts, err := fig3Sweep(cfg, "dsdr", []float64{0, 1}, func(o *place.Options, dr float64) { o.UseDr = dr == 1 })
+	if pts == nil {
 		return DsDrResult{}, err
 	}
-	// Param 0 is D_s, param 1 is D_r; trials of both fan out together.
-	vals, extras, gerr := runGrid(cfg, "dsdr", 2, func(pi, t int) (float64, float64, error) {
-		_, res, err := place.RunStage1Ctx(cfg.ctx(), c, place.Options{
-			Seed: cfg.Seed + uint64(t)*733, Ac: cfg.Ac, UseDr: pi == 1,
-		})
-		return res.TEIL, float64(res.Overlap), err
-	})
 	return DsDrResult{
-		TEILDs: vals[0], OverlapDs: extras[0],
-		TEILDr: vals[1], OverlapDr: extras[1],
-	}, gerr
+		TEILDs: pts[0].Value, OverlapDs: pts[0].Extra,
+		TEILDr: pts[1].Value, OverlapDr: pts[1].Extra,
+	}, err
 }
 
 // RefineRow traces Stage 2 convergence for one circuit (§4.3: three
@@ -292,7 +211,7 @@ func RefineConvergence(cfg Config, circuit string) ([]RefineRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.PlaceCtx(cfg.ctx(), c, core.Options{Seed: cfg.Seed, Ac: cfg.Ac, M: cfg.M})
+	res, err := core.PlaceCtx(cfg.ctx(), c, core.Options{Seed: cfg.Seed, Ac: cfg.Ac, M: cfg.M, Workers: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +246,7 @@ func Eqn22(cfg Config, circuit string) (Eqn22Result, error) {
 	if err != nil {
 		return Eqn22Result{}, err
 	}
-	res, err := core.PlaceCtx(cfg.ctx(), c, core.Options{Seed: cfg.Seed, Ac: cfg.Ac, M: cfg.M})
+	res, err := core.PlaceCtx(cfg.ctx(), c, core.Options{Seed: cfg.Seed, Ac: cfg.Ac, M: cfg.M, Workers: 1})
 	if err != nil {
 		return Eqn22Result{}, err
 	}
@@ -352,17 +271,20 @@ type Figure4Row struct {
 	WxFrac float64 // window span as a fraction of the T_∞ span
 }
 
-// Figure4 tabulates the range-limiter law at a few decades of T.
+// Figure4 tabulates the range-limiter window (anneal.RangeLimiter, Eqns
+// 12–14, T_∞ = 10⁵) at a few decades of T, as a fraction of its T_∞ span.
+// The span is a power of two, so the fraction is exact and, for ρ ≤ 10,
+// clear of the MinSpan floor.
 func Figure4(rho float64) []Figure4Row {
 	if rho <= 0 {
 		rho = 4
 	}
-	const tInf = 1e5
-	out := []Figure4Row{}
+	const span = 1 << 30
+	rl := anneal.NewRangeLimiter(span, span, rho, 1e5)
+	var out []Figure4Row
 	for _, t := range []float64{1e5, 1e4, 1e3, 1e2, 1e1, 1} {
-		// Same law as anneal.RangeLimiter: ρ^log10(T)/ρ^log10(T_∞).
-		frac := math.Pow(rho, math.Log10(t)) / math.Pow(rho, math.Log10(tInf))
-		out = append(out, Figure4Row{T: t, WxFrac: frac})
+		wx, _ := rl.Window(t)
+		out = append(out, Figure4Row{T: t, WxFrac: wx / span})
 	}
 	return out
 }

@@ -109,15 +109,17 @@ const (
 	PlaceCheckpointLoad Point = "place.checkpoint.load"
 
 	// JobsDedupClaim fires just before a digest generation claim's O_EXCL
-	// create: Err fails the claim (the crash-between-claim-and-publish
-	// analog, leaving a pending entry peers must supersede after the grace),
+	// create: Err fails the claim before anything is written (the index is
+	// left as it was), and the manager submits the job without the index;
 	// Delay widens the read-decide-create race window.
 	JobsDedupClaim Point = "jobs.dedup.claim"
-	// ScrubWalk fires as the scrubber enters a job directory; Err skips the
-	// directory with a reported defect, Delay slows the sweep.
+	// ScrubWalk fires once per store root as scrub.Scan starts walking it;
+	// Err fails the whole Scan (no report), Delay slows the sweep.
 	ScrubWalk Point = "scrub.walk"
-	// ScrubVerify fires before each artifact verification inside the
-	// scrubber, exercising its degraded-read paths.
+	// ScrubVerify fires once per job directory as the scrubber starts
+	// verifying it; Err reports a "verify" defect for the directory and
+	// skips its artifacts and the index entries naming the job, Delay slows
+	// the sweep.
 	ScrubVerify Point = "scrub.verify"
 )
 

@@ -266,11 +266,7 @@ func (s *Store) currentDigestEntry(dir string) (IndexEntry, int, error) {
 // failed, canceled, missing, rotted, or itself-aliased job is dead — the
 // digest needs a fresh execution under a new generation.
 func (s *Store) sourceLive(jobID string) (*Job, bool) {
-	j, ok := s.Get(jobID)
-	if !ok {
-		s.Rescan()
-		j, ok = s.Get(jobID)
-	}
+	j, ok := s.Lookup(jobID)
 	if !ok {
 		return nil, false
 	}
@@ -297,7 +293,7 @@ func (s *Store) sourceLive(jobID string) (*Job, bool) {
 // executing job and Publish, or Abandon) or an authoritative entry already
 // exists (entry returned; Job may still be empty on a pending claim the
 // caller should poll). The fault point jobs.dedup.claim fails the claim
-// write, exercising crash-between-claim-and-publish recovery.
+// before its create, so the index is left as it was.
 func (s *Store) ClaimDigest(digest string) (*DigestClaim, IndexEntry, error) {
 	hx, ok := digestHex(digest)
 	if !ok {
@@ -386,11 +382,7 @@ func (s *Store) ResolveResult(j *Job) (*Job, error) {
 	if !ok {
 		return j, nil
 	}
-	sj, found := s.Get(src)
-	if !found {
-		s.Rescan()
-		sj, found = s.Get(src)
-	}
+	sj, found := s.Lookup(src)
 	if !found {
 		return nil, fmt.Errorf("jobs: %s: dedup source %s not found", j.ID, src)
 	}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/faultinject"
 )
 
 // canonBase is a spec with every content field set to a non-default value,
@@ -358,5 +360,50 @@ func TestGCJobsRetention(t *testing.T) {
 	}
 	if rec := waitTerminal(t, fresh); rec.State != StateSucceeded {
 		t.Fatalf("post-gc resubmission ended %q, want a fresh execution: %s", rec.State, rec.Detail)
+	}
+}
+
+// TestDedupClaimFaultSubmitsUnindexed arms jobs.dedup.claim once: the claim
+// fails before its create, so nothing lands in the digest index, and the
+// submission still executes, just without the index. The next duplicate
+// therefore finds no source, executes again, and claims generation 1.
+func TestDedupClaimFaultSubmitsUnindexed(t *testing.T) {
+	pl := faultinject.NewPlane(1, faultinject.Rule{Point: faultinject.JobsDedupClaim})
+	if err := pl.Arm(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faultinject.Disarm)
+	st, m := newTestManager(t, t.TempDir(), Config{Workers: 1})
+	m.Start()
+	defer drain(t, m)
+
+	first, err := m.Submit(fastSpec())
+	if err != nil {
+		t.Fatalf("submit under a failed digest claim: %v", err)
+	}
+	if n := pl.Trips()[faultinject.JobsDedupClaim]; n != 1 {
+		t.Fatalf("jobs.dedup.claim tripped %d times, want 1", n)
+	}
+	digest := first.Spec.Digest
+	if es := st.DigestEntries(digest); len(es) != 0 {
+		t.Fatalf("failed claim left index entries: %+v", es)
+	}
+	if rec := waitTerminal(t, first); rec.State != StateSucceeded {
+		t.Fatalf("un-indexed job ended %q: %s", rec.State, rec.Detail)
+	}
+
+	second, err := m.Submit(fastSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, alias := second.DedupSource(); alias || second.ID == first.ID {
+		t.Fatalf("duplicate of an un-indexed job was deduplicated (%s -> %s)", second.ID, first.ID)
+	}
+	if rec := waitTerminal(t, second); rec.State != StateSucceeded {
+		t.Fatalf("second execution ended %q: %s", rec.State, rec.Detail)
+	}
+	es := st.DigestEntries(digest)
+	if len(es) != 1 || es[0].Gen != 1 || es[0].Job != second.ID {
+		t.Fatalf("index after the second submit = %+v, want generation 1 -> %s", es, second.ID)
 	}
 }

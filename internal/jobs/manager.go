@@ -526,8 +526,9 @@ func (m *Manager) renewHeld() {
 
 // claimWork claims up to 2×Workers outstanding jobs (pending + running) so
 // each node keeps a modest local buffer without hoarding the shared backlog.
-// Every claim re-syncs the job's journal from disk first, so the decision is
-// made against the current owner's records, not a stale snapshot.
+// Every candidate not already terminal in memory re-syncs its journal from
+// disk first, so the decision is made against the current owner's records,
+// not a stale snapshot; a terminal job is skipped without a read.
 //
 // Claim order is deficit-weighted round-robin across tenants (sched.go):
 // within a tenant jobs stay in store order, but the budget is spread across
@@ -553,7 +554,9 @@ func (m *Manager) claimWork() {
 		m.hmu.Lock()
 		_, mine := m.held[j.ID]
 		m.hmu.Unlock()
-		if mine {
+		// A terminal record is final (checkRecord refuses anything after
+		// it) and disk is never behind memory, so no re-read can revive it.
+		if mine || j.Last().State.Terminal() {
 			continue
 		}
 		j.Reload()
@@ -791,7 +794,7 @@ func (m *Manager) SubmitIdem(spec Spec, key string) (*Job, bool, error) {
 			if e.Digest != spec.Digest {
 				return nil, false, &ErrIdemConflict{Key: key, Job: e.Job}
 			}
-			if j, found := m.lookupJob(e.Job); found {
+			if j, found := m.store.Lookup(e.Job); found {
 				m.mIdemReplays.Inc()
 				return j, false, nil
 			}
@@ -1007,16 +1010,6 @@ func (m *Manager) publishIdemKey(spec *Spec, key string, job *Job) {
 	case e.Job != job.ID:
 		m.cfg.Logf("jobs: %s: idempotency key %.40q raced; owned by %s", job.ID, key, e.Job)
 	}
-}
-
-// lookupJob finds a job by ID, rescanning once for jobs published by fleet
-// peers this process has not observed yet.
-func (m *Manager) lookupJob(id string) (*Job, bool) {
-	if j, ok := m.store.Get(id); ok {
-		return j, true
-	}
-	m.store.Rescan()
-	return m.store.Get(id)
 }
 
 // shedSubmit decides whether to shed a submission for capacity reasons

@@ -23,13 +23,9 @@ import (
 // SpanPath returns the job's span file path.
 func (j *Job) SpanPath() string { return filepath.Join(j.dir, spansFile) }
 
-// ReadSpans decodes the job's span file (empty when absent). Malformed
-// lines — a torn tail from a crash mid-append — are counted, not fatal.
-func (j *Job) ReadSpans() ([]telemetry.Span, telemetry.SpanDecodeStats, error) {
-	return ReadSpanFile(j.SpanPath())
-}
-
 // ReadSpanFile decodes one span file; a missing file is an empty result.
+// Malformed lines — a torn tail from a crash mid-append — are counted, not
+// fatal.
 func ReadSpanFile(path string) ([]telemetry.Span, telemetry.SpanDecodeStats, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -44,7 +44,7 @@ func TestSpanLifecycleSingleNode(t *testing.T) {
 	// waits for the worker to write it.
 	drain(t, m)
 
-	spans, stats, err := j.ReadSpans()
+	spans, stats, err := ReadSpanFile(j.SpanPath())
 	if err != nil {
 		t.Fatalf("read spans: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestSpanFleetClaimAndTokens(t *testing.T) {
 	// waits for the worker to write it.
 	drain(t, m)
 
-	spans, _, err := j.ReadSpans()
+	spans, _, err := ReadSpanFile(j.SpanPath())
 	if err != nil {
 		t.Fatalf("read spans: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestSpanAppendFailureIsNotFatal(t *testing.T) {
 	if rec := waitTerminal(t, j); rec.State != StateSucceeded {
 		t.Fatalf("job failed under span faults: %+v", rec)
 	}
-	spans, _, err := j.ReadSpans()
+	spans, _, err := ReadSpanFile(j.SpanPath())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -550,6 +550,16 @@ func (s *Store) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
+// Lookup is Get with one Rescan on a miss: in fleet mode a peer may have
+// published the job since this process last scanned the store.
+func (s *Store) Lookup(id string) (*Job, bool) {
+	if j, ok := s.Get(id); ok {
+		return j, true
+	}
+	s.Rescan()
+	return s.Get(id)
+}
+
 // List returns every job ordered by id (submission order).
 func (s *Store) List() []*Job {
 	s.mu.Lock()

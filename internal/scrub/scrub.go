@@ -126,7 +126,8 @@ type scanner struct {
 	rep  *Report
 	// digests maps job ID → recomputed spec content digest, and lastState
 	// maps job ID → final journal state, for the jobs that survived the
-	// per-directory pass; the index pass checks entries against them.
+	// per-directory pass; the index pass checks entries against them. A
+	// job whose verification was skipped maps to the empty digest.
 	digests   map[string]string
 	lastState map[string]jobs.State
 }
@@ -192,6 +193,7 @@ func (s *scanner) scanJob(dir string) {
 	if err := faultinject.Err(faultinject.ScrubVerify); err != nil {
 		s.add(Defect{Kind: "verify", Severity: SevError, Job: id, Path: dir,
 			Detail: fmt.Sprintf("injected verification failure: %v", err)})
+		s.digests[id] = ""
 		return
 	}
 

@@ -3,12 +3,14 @@ package scrub
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/par"
 )
@@ -360,5 +362,65 @@ func TestScrubAliasBrokenSource(t *testing.T) {
 		if d.Kind != "alias" || d.Severity != SevError || d.Repaired {
 			t.Fatalf("defect = %+v, want unrepaired alias error", d)
 		}
+	}
+}
+
+// armFaults arms a fault plane for one test.
+func armFaults(t *testing.T, rules ...faultinject.Rule) *faultinject.Plane {
+	t.Helper()
+	pl := faultinject.NewPlane(1, rules...)
+	if err := pl.Arm(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faultinject.Disarm)
+	return pl
+}
+
+// TestScrubWalkFaultFailsScan: scrub.walk fires once per root, and an
+// injected error fails the whole Scan. Aimed past the first root (which
+// holds three job directories), it trips on its second hit, naming the
+// second root.
+func TestScrubWalkFaultFailsScan(t *testing.T) {
+	a, b := t.TempDir(), t.TempDir()
+	seedStore(t, a, true)
+	seedStore(t, b, false)
+	pl := armFaults(t, faultinject.Rule{Point: faultinject.ScrubWalk, After: 1})
+	rep, err := Scan([]string{a, b}, Options{Logf: t.Logf})
+	if !errors.Is(err, faultinject.ErrInjected) || !strings.Contains(err.Error(), b) {
+		t.Fatalf("Scan error = %v, want an injected fault naming the second root", err)
+	}
+	if rep != nil {
+		t.Fatalf("failed Scan returned a report: %+v", rep)
+	}
+	if n := pl.Trips()[faultinject.ScrubWalk]; n != 1 {
+		t.Fatalf("scrub.walk tripped %d times, want 1", n)
+	}
+}
+
+// TestScrubVerifyFaultReportsDirectory: scrub.verify fires once per job
+// directory (a pure-delay rule trips once for each of the three), and an
+// injected error becomes one "verify" defect for that directory while the
+// scan goes on. The idempotency-key entry naming the skipped job is not
+// judged, so it is neither reported nor (under repair) quarantined as
+// pointing at a vanished job.
+func TestScrubVerifyFaultReportsDirectory(t *testing.T) {
+	root := t.TempDir()
+	seedStore(t, root, true)
+	pl := armFaults(t, faultinject.Rule{Point: faultinject.ScrubVerify, Times: faultinject.Unlimited, Delay: time.Microsecond})
+	rep := scan(t, root, false)
+	if n := pl.Trips()[faultinject.ScrubVerify]; n != 3 || rep.Jobs != 3 || len(rep.Defects) != 0 {
+		t.Fatalf("delay rule: %d trips, %d jobs, defects %+v; want 3 trips, 3 jobs, none", n, rep.Jobs, rep.Defects)
+	}
+	faultinject.Disarm()
+
+	clean := rep.Artifacts
+	armFaults(t, faultinject.Rule{Point: faultinject.ScrubVerify, After: 2})
+	rep = scan(t, root, false)
+	d := one(t, rep, "verify", SevError)
+	if d.Job != "j000003" || !strings.Contains(d.Detail, "injected") {
+		t.Fatalf("verify defect = %+v, want j000003's injected failure", d)
+	}
+	if rep.Jobs != 3 || rep.Artifacts >= clean {
+		t.Fatalf("scanned %d jobs and %d artifacts, want 3 jobs and fewer than %d artifacts", rep.Jobs, rep.Artifacts, clean)
 	}
 }

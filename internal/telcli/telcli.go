@@ -92,9 +92,8 @@ func (rt *Runtime) FoldPoolStats() {
 	rt.reg.Gauge("pool.max_concurrent").Set(float64(ps.MaxConcurrent))
 }
 
-// ServeMetrics starts an HTTP listener on addr exposing GET /metrics in the
-// Prometheus text exposition format and GET /healthz with build metadata —
-// the scrape surface for long CLI runs (twmc -metrics-listen). It guarantees
+// ServeMetrics starts an HTTP listener on addr serving MountMetrics's
+// scrape surface — for long CLI runs (twmc -metrics-listen). It guarantees
 // a live registry (rebuilding the Tracer, so call it before capturing
 // rt.Tracer), registers the build_info gauge, and returns the bound address.
 // Close stops the listener.
@@ -106,17 +105,28 @@ func (rt *Runtime) ServeMetrics(addr, node string) (string, error) {
 		return "", fmt.Errorf("-metrics-listen: %w", err)
 	}
 	mux := http.NewServeMux()
+	rt.MountMetrics(mux, bi, nil)
+	rt.metricsSrv = &http.Server{Handler: mux}
+	go rt.metricsSrv.Serve(ln)
+	return ln.Addr().String(), nil
+}
+
+// MountMetrics registers the scrape surface on mux: GET /metrics serves the
+// registry in the Prometheus text exposition format (version 0.0.4) after
+// folding in the pool counters, and GET /healthz answers
+// "ok version=… go=… node=…" from bi. The runtime must already have a
+// registry (EnsureRegistry). logf, when non-nil, receives a failed write.
+func (rt *Runtime) MountMetrics(mux *http.ServeMux, bi telemetry.BuildInfo, logf func(string, ...any)) {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		rt.FoldPoolStats()
 		w.Header().Set("Content-Type", telemetry.PrometheusContentType)
-		reg.WritePrometheus(w)
+		if err := rt.reg.WritePrometheus(w); err != nil && logf != nil {
+			logf("metrics: %v", err)
+		}
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "ok version=%s go=%s node=%s\n", bi.Version, bi.Go, bi.Node)
 	})
-	rt.metricsSrv = &http.Server{Handler: mux}
-	go rt.metricsSrv.Serve(ln)
-	return ln.Addr().String(), nil
 }
 
 // Start builds the telemetry runtime the flags ask for. prefix labels
